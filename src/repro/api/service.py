@@ -339,11 +339,18 @@ class PredictionService:
         self, requests: list[PredictRequest], kind: str
     ) -> Iterator[list[int]]:
         """Same-config request-index chunks of one kind, capped by
-        ``max_batch_size`` — the coalescing unit of one model call."""
-        groups: dict[str, list[int]] = {}
+        ``max_batch_size`` — the coalescing unit of one model call.
+
+        Configs group by content (their parameter values, the key the
+        model's hardware memo uses), so two configs sharing a name but not
+        parameters never share a model call; the name stays in the key
+        because a report carries its config's name.
+        """
+        groups: dict[tuple, list[int]] = {}
         for i, req in enumerate(requests):
             if req.kind == kind:
-                groups.setdefault(req.config.name, []).append(i)
+                key = (req.config.params_key, req.config.name)
+                groups.setdefault(key, []).append(i)
         for indices in groups.values():
             step = self.max_batch_size or len(indices)
             for start in range(0, len(indices), step):

@@ -48,6 +48,13 @@ class BoomConfig:
         return np.array([self.params[n] for n in names], dtype=float)
 
     @property
+    def params_key(self) -> tuple:
+        """Hashable identity of the configuration's content: its parameter
+        values in canonical order.  The name is a label, not identity; two
+        configs with one name and different parameters key differently."""
+        return tuple(self.params[n] for n in HARDWARE_PARAMETERS)
+
+    @property
     def index(self) -> int:
         """1-based configuration index (C1 -> 1, ..., C15 -> 15)."""
         return int(self.name.lstrip("C"))

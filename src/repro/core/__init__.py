@@ -10,15 +10,19 @@ Power-group decoupling:
 * :mod:`repro.core.logic` — register power and combinational
   stable/variation decoupling (Sec. II-C, Eq. 11-12),
 * :mod:`repro.core.autopower` — the assembled model with a
-  paper-equivalent ``fit`` / ``predict`` API and time-based trace support.
+  paper-equivalent ``fit`` / ``predict`` API and time-based trace support,
+* :mod:`repro.core.program` — the fitted model compiled into one predict
+  program: a per-configuration hardware memo, one gather of the event
+  features into a wide matrix, and one walk over all 94 boosted
+  ensembles as a single forest.
 
-All three group models expose a matrix-level ``predict_batch`` over an
-:class:`repro.arch.events.EventBatch` (hardware-only sub-models evaluated
-once per component, event-driven GBMs in one feature-matrix pass), and
-``AutoPower`` adds ``predict_reports`` / ``predict_totals`` batch APIs on
-top; ``predict_trace`` evaluates all anchors in a single batched pass and
-is ~95x faster than the per-anchor scalar path it replaced, with
-bitwise-identical per-group results.
+The group models keep only scalar, per-component predictions
+(``predict_component`` and their hardware-only sub-model calls), the
+reference the program is pinned to bit for bit.  Every ``AutoPower``
+prediction — ``predict_totals``, ``predict_reports``, ``predict_trace``
+and the scalar ``predict_report`` / ``predict_total`` /
+``predict_group``, each a batch of one — runs through
+``AutoPower.compile()``'s program.
 """
 
 from repro.core.autopower import AutoPower

@@ -11,14 +11,16 @@ experiment.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-from repro.arch.components import COMPONENTS
 from repro.arch.config import BoomConfig
 from repro.arch.events import EVENT_NAMES, EventBatch, EventParams
 from repro.arch.workloads import Workload
 from repro.core.clock import ClockPowerModel
 from repro.core.logic import LogicPowerModel
+from repro.core.program import PredictProgram
 from repro.core.sram import SramPowerModel
 from repro.library.stdcell import TechLibrary, default_library
 from repro.parallel import Executor, get_executor
@@ -26,6 +28,10 @@ from repro.power.report import ComponentPower, PowerReport
 from repro.vlsi.macro_mapping import MacroMapper
 
 __all__ = ["AutoPower", "events_at_scale"]
+
+# Serializes first-use compilation (rare, per fit or load); a module-level
+# lock keeps the model itself picklable.
+_COMPILE_LOCK = threading.Lock()
 
 
 def events_at_scale(
@@ -112,6 +118,7 @@ class AutoPower:
         )
         self.logic_model = LogicPowerModel(ridge_alpha, gbm_params, random_state)
         self.train_config_names: tuple[str, ...] = ()
+        self._program: PredictProgram | None = None
         self._fitted = False
 
     # ------------------------------------------------------------------
@@ -165,12 +172,32 @@ class AutoPower:
             if res.config.name not in seen:
                 seen.append(res.config.name)
         self.train_config_names = tuple(seen)
+        self._program = None  # a refit recompiles
         self._fitted = True
         return self
 
     def _require_fit(self) -> None:
         if not self._fitted:
             raise RuntimeError("AutoPower used before fit")
+
+    def compile(self) -> PredictProgram:
+        """The fitted model's predict program, built once per fit or load.
+
+        Every prediction runs through it; the first one builds it.  It is
+        not built inside ``from_state``: the parsed model file is still
+        alive there, and assembling the ensembles then would add their
+        size to the load's peak memory.
+        """
+        self._require_fit()
+        program = self._program
+        if program is None:
+            with _COMPILE_LOCK:
+                if self._program is None:
+                    self._program = PredictProgram(
+                        self.clock_model, self.sram_model, self.logic_model
+                    )
+                program = self._program
+        return program
 
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
@@ -188,60 +215,38 @@ class AutoPower:
 
         return autopower_from_state(state, library=library)
 
-    # ------------------------------------------------------------------
+    # -- prediction: one compiled program, a scalar call is a batch of one
     def predict_report(
         self, config: BoomConfig, events: EventParams, workload: Workload
     ) -> PowerReport:
         """Predicted per-component, per-group power report."""
-        self._require_fit()
-        components = []
-        for comp in COMPONENTS:
-            clock = self.clock_model.predict_component(comp.name, config, events)
-            sram = self.sram_model.predict_component(
-                comp.name, config, events, workload
-            )
-            register, comb = self.logic_model.predict_component(
-                comp.name, config, events
-            )
-            components.append(
-                ComponentPower(
-                    name=comp.name,
-                    clock=clock,
-                    sram=sram,
-                    register=register,
-                    comb=comb,
-                )
-            )
-        return PowerReport(
-            config_name=config.name,
-            workload_name=workload.name,
-            components=tuple(components),
-        )
+        return self.predict_reports(config, events, workload)[0]
 
     def predict_total(
         self, config: BoomConfig, events: EventParams, workload: Workload
     ) -> float:
-        """Predicted total power, in mW."""
+        """Predicted total power, in mW (the report's total)."""
         return self.predict_report(config, events, workload).total
 
-    # -- batched prediction ----------------------------------------------
+    def predict_group(
+        self, config: BoomConfig, events: EventParams, workload: Workload, group: str
+    ) -> float:
+        """Predicted power of one group (clock / sram / register / comb /
+        logic), in mW."""
+        return self.predict_report(config, events, workload).group_total(group)
+
     def predict_reports(
         self, config: BoomConfig, events, workload
     ) -> list[PowerReport]:
         """Power reports for a whole batch of event intervals.
 
-        ``events`` is an :class:`EventBatch` or a sequence of
-        :class:`EventParams`; ``workload`` is a single workload or one per
-        interval.  Every sub-model evaluates the full feature matrix in
-        one pass — hardware-only sub-models once per component — instead
-        of intervals x components x groups scalar calls.
+        ``events`` is an :class:`EventBatch`, an :class:`EventParams` or a
+        sequence of them; ``workload`` is a single workload or one per
+        interval.
         """
-        self._require_fit()
+        program = self.compile()
         batch = EventBatch.from_events(events)
         n = len(batch)
-        clock = self.clock_model.predict_batch(config, batch)
-        sram = self.sram_model.predict_batch(config, batch, workload)
-        logic = self.logic_model.predict_batch(config, batch)
         if isinstance(workload, Workload):
             workload_names = [workload.name] * n
         else:
@@ -250,51 +255,33 @@ class AutoPower:
                 raise ValueError(
                     f"got {len(workload_names)} workloads for {n} intervals"
                 )
-        reports = []
-        for i in range(n):
-            components = tuple(
-                ComponentPower(
-                    name=comp.name,
-                    clock=float(clock[comp.name][i]),
-                    sram=float(sram[comp.name][i]) if comp.name in sram else 0.0,
-                    register=float(logic[comp.name][0][i]),
-                    comb=float(logic[comp.name][1][i]),
-                )
-                for comp in COMPONENTS
+        clock, sram, register, comb = (
+            m.tolist() for m in program.groups(config, batch, workload)
+        )
+        return [
+            PowerReport(
+                config_name=config.name,
+                workload_name=workload_names[i],
+                components=tuple(
+                    ComponentPower(
+                        name=name,
+                        clock=clock[i][j],
+                        sram=sram[i][j],
+                        register=register[i][j],
+                        comb=comb[i][j],
+                    )
+                    for j, name in enumerate(program.components)
+                ),
             )
-            reports.append(
-                PowerReport(
-                    config_name=config.name,
-                    workload_name=workload_names[i],
-                    components=components,
-                )
-            )
-        return reports
+            for i in range(n)
+        ]
 
     def predict_totals(
         self, config: BoomConfig, events, workload
     ) -> np.ndarray:
         """Predicted total power per interval of a batch, in mW."""
-        self._require_fit()
-        batch = EventBatch.from_events(events)
-        clock = self.clock_model.predict_batch(config, batch)
-        sram = self.sram_model.predict_batch(config, batch, workload)
-        logic = self.logic_model.predict_batch(config, batch)
-        total = np.zeros(len(batch))
-        for comp in COMPONENTS:
-            name = comp.name
-            register, comb = logic[name]
-            total += clock[name] + register + comb
-            if name in sram:
-                total += sram[name]
-        return total
-
-    def predict_group(
-        self, config: BoomConfig, events: EventParams, workload: Workload, group: str
-    ) -> float:
-        """Predicted power of one group (clock / sram / register / comb /
-        logic), in mW."""
-        return self.predict_report(config, events, workload).group_total(group)
+        program = self.compile()
+        return program.totals(config, EventBatch.from_events(events), workload)
 
     # ------------------------------------------------------------------
     def predict_trace(

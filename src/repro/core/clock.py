@@ -25,10 +25,9 @@ import numpy as np
 
 from repro.arch.components import COMPONENTS
 from repro.arch.config import BoomConfig
-from repro.arch.events import EventBatch, EventParams
+from repro.arch.events import EventParams
 from repro.core.features import (
     event_features,
-    event_features_batch,
     hardware_features,
     polynomial_hardware_features,
 )
@@ -228,31 +227,3 @@ class ClockPowerModel:
             comp.name: self.predict_component(comp.name, config, events)
             for comp in COMPONENTS
         }
-
-    # -- batched prediction ----------------------------------------------
-    def predict_batch(
-        self, config: BoomConfig, events: EventBatch
-    ) -> dict[str, np.ndarray]:
-        """Per-component clock power for a whole event batch, in mW.
-
-        The hardware-only sub-models (register count, gating rate) are
-        evaluated once per component; only the effective-active-rate GBM
-        sees the event matrix, in a single batched pass.
-        """
-        self._require_fit()
-        p_reg = self.library.p_reg_mw
-        n = len(events)
-        out: dict[str, np.ndarray] = {}
-        for comp in COMPONENTS:
-            name = comp.name
-            r = self.predict_register_count(name, config)
-            g = self.predict_gating_rate(name, config)
-            x = np.hstack(
-                [
-                    np.tile(hardware_features(config, name), (n, 1)),
-                    event_features_batch(events, name, config, include_raw=False),
-                ]
-            )
-            alpha = np.maximum(self._models[name].f_alpha.predict(x), 0.0)
-            out[name] = np.maximum(r * (1.0 - g) * p_reg + alpha * r * g, 0.0)
-        return out

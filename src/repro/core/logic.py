@@ -18,10 +18,9 @@ import numpy as np
 
 from repro.arch.components import COMPONENTS
 from repro.arch.config import BoomConfig
-from repro.arch.events import EventBatch, EventParams
+from repro.arch.events import EventParams
 from repro.core.features import (
     event_features,
-    event_features_batch,
     hardware_features,
     polynomial_hardware_features,
 )
@@ -47,17 +46,6 @@ def _he_features(config: BoomConfig, events: EventParams, component: str) -> np.
         [
             hardware_features(config, component),
             event_features(events, component, config, include_raw=False),
-        ]
-    )
-
-
-def _he_features_batch(
-    config: BoomConfig, events: EventBatch, component: str
-) -> np.ndarray:
-    return np.hstack(
-        [
-            np.tile(hardware_features(config, component), (len(events), 1)),
-            event_features_batch(events, component, config, include_raw=False),
         ]
     )
 
@@ -145,32 +133,20 @@ class RegisterPowerModel:
             "x_labels": np.array(act_labels),
         }
 
-    def predict_component(
-        self, component: str, config: BoomConfig, events: EventParams
-    ) -> float:
+    def predict_registers(self, component: str, config: BoomConfig) -> float:
+        """Hardware-only register count F_reg(H) (non-negative)."""
         if not self._fitted:
             raise RuntimeError("RegisterPowerModel used before fit")
         h = polynomial_hardware_features(config, component).reshape(1, -1)
-        registers = max(float(self._f_reg[component].predict(h)[0]), 0.0)
+        return max(float(self._f_reg[component].predict(h)[0]), 0.0)
+
+    def predict_component(
+        self, component: str, config: BoomConfig, events: EventParams
+    ) -> float:
+        registers = self.predict_registers(component, config)
         x = _he_features(config, events, component).reshape(1, -1)
         per_register = max(float(self._f_act[component].predict(x)[0]), 0.0)
         return registers * per_register
-
-    def predict_batch(
-        self, config: BoomConfig, events: EventBatch
-    ) -> dict[str, np.ndarray]:
-        """Per-component register power for a whole event batch, in mW."""
-        if not self._fitted:
-            raise RuntimeError("RegisterPowerModel used before fit")
-        out: dict[str, np.ndarray] = {}
-        for comp in COMPONENTS:
-            name = comp.name
-            h = polynomial_hardware_features(config, name).reshape(1, -1)
-            registers = max(float(self._f_reg[name].predict(h)[0]), 0.0)
-            x = _he_features_batch(config, events, name)
-            per_register = np.maximum(self._f_act[name].predict(x), 0.0)
-            out[name] = registers * per_register
-        return out
 
 
 class CombPowerModel:
@@ -243,32 +219,20 @@ class CombPowerModel:
             "x_labels": np.array(var_labels),
         }
 
-    def predict_component(
-        self, component: str, config: BoomConfig, events: EventParams
-    ) -> float:
+    def predict_stable(self, component: str, config: BoomConfig) -> float:
+        """Hardware-only stable power F_sta(H) (non-negative)."""
         if not self._fitted:
             raise RuntimeError("CombPowerModel used before fit")
         h = polynomial_hardware_features(config, component).reshape(1, -1)
-        stable = max(float(self._f_sta[component].predict(h)[0]), 0.0)
+        return max(float(self._f_sta[component].predict(h)[0]), 0.0)
+
+    def predict_component(
+        self, component: str, config: BoomConfig, events: EventParams
+    ) -> float:
+        stable = self.predict_stable(component, config)
         x = _he_features(config, events, component).reshape(1, -1)
         variation = max(float(self._f_var[component].predict(x)[0]), 0.0)
         return stable * variation
-
-    def predict_batch(
-        self, config: BoomConfig, events: EventBatch
-    ) -> dict[str, np.ndarray]:
-        """Per-component combinational power for a whole event batch, in mW."""
-        if not self._fitted:
-            raise RuntimeError("CombPowerModel used before fit")
-        out: dict[str, np.ndarray] = {}
-        for comp in COMPONENTS:
-            name = comp.name
-            h = polynomial_hardware_features(config, name).reshape(1, -1)
-            stable = max(float(self._f_sta[name].predict(h)[0]), 0.0)
-            x = _he_features_batch(config, events, name)
-            variation = np.maximum(self._f_var[name].predict(x), 0.0)
-            out[name] = stable * variation
-        return out
 
 
 class LogicPowerModel:
@@ -308,18 +272,5 @@ class LogicPowerModel:
     ) -> dict[str, tuple[float, float]]:
         return {
             comp.name: self.predict_component(comp.name, config, events)
-            for comp in COMPONENTS
-        }
-
-    def predict_batch(
-        self, config: BoomConfig, events: EventBatch
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per-component (register, comb) power arrays for an event batch."""
-        if not self._fitted:
-            raise RuntimeError("LogicPowerModel used before fit")
-        register = self.register_model.predict_batch(config, events)
-        comb = self.comb_model.predict_batch(config, events)
-        return {
-            comp.name: (register[comp.name], comb[comp.name])
             for comp in COMPONENTS
         }

@@ -27,14 +27,12 @@ import numpy as np
 
 from repro.arch.components import component_by_name, sram_components
 from repro.arch.config import BoomConfig
-from repro.arch.events import EventBatch, EventParams
+from repro.arch.events import EventParams
 from repro.arch.workloads import Workload
 from repro.core.features import (
     event_features,
-    event_features_batch,
     hardware_features,
     program_features,
-    program_features_matrix,
 )
 from repro.core.scaling import FittedLaw, ScalingPatternDetector
 from repro.library.stdcell import TechLibrary
@@ -367,73 +365,6 @@ class SramPowerModel:
             name: self.predict_component(name, config, events, workload)
             for name in self._component_positions
         }
-
-    # -- batched prediction ----------------------------------------------
-    def _activity_features_batch(
-        self, config: BoomConfig, events: EventBatch, workload, component: str
-    ) -> np.ndarray:
-        parts = [
-            np.tile(hardware_features(config, component), (len(events), 1)),
-            event_features_batch(events, component, config),
-        ]
-        if self.use_program_features:
-            parts.append(program_features_matrix(workload, len(events)))
-        return np.hstack(parts)
-
-    def predict_position_batch(
-        self,
-        position: str,
-        config: BoomConfig,
-        events: EventBatch,
-        workload,
-        x: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Power of one SRAM position for a whole event batch, in mW.
-
-        The block shape and macro mapping are hardware-only and resolved
-        once; the read/write GBMs see the event matrix in one pass.  ``x``
-        lets :meth:`predict_batch` share the component's feature matrix
-        across positions.
-        """
-        self._require_fit()
-        model = self._positions[position]
-        block = self.predict_block(position, config)
-        if x is None:
-            x = self._activity_features_batch(config, events, workload, model.component)
-        read = np.maximum(model.f_read.predict(x), 0.0)
-        write = np.maximum(model.f_write.predict(x), 0.0)
-        mapping = self.mapper.map(block.width, block.depth)
-        macro = mapping.macro
-        per_macro = (
-            self.library.power_mw(
-                read / mapping.n_col * macro.read_energy_pj
-                + write / mapping.n_col * macro.write_energy_pj
-            )
-            + self.c_constant_mw
-        )
-        return block.count * mapping.n_macros * per_macro
-
-    def predict_batch(
-        self, config: BoomConfig, events: EventBatch, workload
-    ) -> dict[str, np.ndarray]:
-        """Per-component SRAM power for a whole event batch, in mW.
-
-        ``workload`` is a single :class:`Workload` or one per interval.
-        Components without SRAM are omitted, like :meth:`predict`.
-        """
-        self._require_fit()
-        n = len(events)
-        out: dict[str, np.ndarray] = {}
-        for comp_name, positions in self._component_positions.items():
-            # All of a component's positions share one feature matrix.
-            x = self._activity_features_batch(config, events, workload, comp_name)
-            total = np.zeros(n)
-            for pos in positions:
-                total = total + self.predict_position_batch(
-                    pos, config, events, workload, x=x
-                )
-            out[comp_name] = total
-        return out
 
     @property
     def position_names(self) -> tuple[str, ...]:

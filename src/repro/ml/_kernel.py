@@ -1,4 +1,5 @@
-"""Optional compiled kernel for the level-wise exact GBM fit.
+"""Optional compiled kernel for the level-wise exact GBM fit and for
+forest prediction.
 
 The few-shot regime fits thousands of tiny trees; even the fully batched
 numpy engine pays a few microseconds of dispatch per array expression,
@@ -6,7 +7,9 @@ which dominates when nodes hold a dozen rows.  This module compiles a
 small, dependency-free C implementation of the *same* level-wise frontier
 algorithm (one batched scan per depth level over presorted segments,
 stable position-cut partition, preorder struct-of-arrays emission) and
-drives the whole boosting loop in one call per fit.
+drives the whole boosting loop in one call per fit.  A second entry
+point, ``forest_predict``, walks many fitted ensembles (see
+:class:`repro.ml.gbm.Forest`) in one call.
 
 Build strategy: the C source below is written to a per-user cache
 directory and compiled with the system C compiler into a plain shared
@@ -21,7 +24,10 @@ Floating-point discipline: compiled with ``-ffp-contract=off`` (no FMA
 contraction) so candidate scores are the same IEEE double operations the
 numpy engine and the scalar reference perform; cumulative sums run in the
 same stable feature order, so split decisions — including exact ties —
-agree with the reference scan.
+agree with the reference scan.  ``forest_predict`` sums each row's leaf
+values with numpy's pairwise summation (8 accumulators, blocks of 128,
+halving above), so its per-ensemble sums equal
+``_FlatEnsemble.sum_values`` bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +52,12 @@ long gbm_fit_exact(
     int *feat_out, double *thr_out, int *left_out, int *right_out,
     double *val_out, long *nsamp_out, int *depth_out,
     int *ens_feat, double *ens_thr, int *ens_left, int *ens_right);
+void forest_predict(
+    const double *x, long n_rows, long n_cols, long n_seg,
+    int **feat, double **thr, int **left, int **right,
+    double **val, int **roots,
+    const long *seg_trees, const long *seg_col, const long *seg_depth,
+    double *leaf, double *out);
 """
 
 _SOURCE = r"""
@@ -277,6 +289,63 @@ long gbm_fit_exact(
     free(b_val); free(b_thr); free(b_g); free(b_n); free(b_feat);
     free(b_child); free(b_sz); free(b_pos);
     return rounds;
+}
+
+/* numpy's pairwise summation (pairwise_sum_DOUBLE), so a segment sum is
+ * bitwise equal to ndarray.sum over the same leaf values. */
+static double pairwise_sum(const double *a, long n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (long i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++) r[j] = a[j];
+        long i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Leaf-value sums of every ensemble ("segment") of a forest, per row.
+ * Segment s is one fused ensemble (the arrays of _FlatEnsemble, reached
+ * through the per-segment pointer tables) of seg_trees[s] trees reading
+ * the row's columns from seg_col[s].  Leaves are self-loops with
+ * threshold +inf, so every tree descends exactly seg_depth[s] levels,
+ * like the numpy lockstep.
+ * leaf: n_rows * (largest tree count) scratch; out: n_rows x n_seg. */
+void forest_predict(
+    const double *x, long n_rows, long n_cols, long n_seg,
+    int **feat, double **thr, int **left, int **right,
+    double **val, int **roots,
+    const long *seg_trees, const long *seg_col, const long *seg_depth,
+    double *leaf, double *out)
+{
+    for (long s = 0; s < n_seg; s++) {
+        const int *f = feat[s], *l = left[s], *r = right[s], *rt = roots[s];
+        const double *th = thr[s], *v = val[s];
+        const long nt = seg_trees[s], depth = seg_depth[s];
+        for (long t = 0; t < nt; t++) {
+            for (long i = 0; i < n_rows; i++) {
+                const double *xi = x + i * n_cols + seg_col[s];
+                long node = rt[t];
+                for (long d = 0; d < depth; d++)
+                    node = xi[f[node]] <= th[node] ? l[node] : r[node];
+                leaf[i * nt + t] = v[node];
+            }
+        }
+        for (long i = 0; i < n_rows; i++)
+            out[i * n_seg + s] = pairwise_sum(leaf + i * nt, nt);
+    }
 }
 """
 

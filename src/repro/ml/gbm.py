@@ -22,7 +22,9 @@ each round appends its tree's remapped node arrays — so the first predict
 after a fit pays one concatenation instead of a per-tree rebuild.
 Inference then accumulates every tree in one lockstep vectorized descent
 (all rows x all trees advance one level per step — no per-row or per-tree
-Python), which makes batched prediction essentially free.
+Python), which makes batched prediction essentially free.  A
+:class:`Forest` evaluates many fitted models' ensembles on one wide
+matrix in one compiled call.
 
 Like real tree ensembles, the model cannot predict outside the range of
 training targets — the very property the paper exploits when arguing that
@@ -42,7 +44,7 @@ from repro.ml.tree import (
     _SplitSearchConfig,
 )
 
-__all__ = ["GradientBoostingRegressor"]
+__all__ = ["Forest", "GradientBoostingRegressor"]
 
 
 class _FlatEnsemble:
@@ -136,6 +138,110 @@ class _FlatEnsemble:
                 break
             node = nxt
         return self.value[node].sum(axis=1)
+
+
+class Forest:
+    """Many fitted GBMs evaluated together, in one compiled call.
+
+    Segment ``s`` is ``models[s]``'s own fused ensemble — the forest
+    references it, no node is copied — reading its features from column
+    ``col_bases[s]`` of one wide matrix.  The kernel walks every segment
+    through per-segment array pointers; without it, :meth:`sum_values`
+    runs each segment's :meth:`_FlatEnsemble.sum_values` in turn, the
+    reference the kernel is pinned to bit for bit.
+    """
+
+    # (name, C type, numpy dtype) of each per-segment array.
+    _ARRAYS = (
+        ("feature", "int *", np.int32),
+        ("threshold", "double *", np.float64),
+        ("left", "int *", np.int32),
+        ("right", "int *", np.int32),
+        ("value", "double *", np.float64),
+        ("roots", "int *", np.int32),
+    )
+
+    def __init__(self, models, col_bases, n_cols: int) -> None:
+        models = list(models)
+        if len(col_bases) != len(models):
+            raise ValueError("need one column base per model")
+        for model, base in zip(models, col_bases):
+            model._check_is_fitted()
+            # The kernel reads columns base .. base + n_features - 1.
+            if not 0 <= base <= n_cols - model.n_features_:
+                raise ValueError("a model's columns fall outside the matrix")
+        self.n_cols = int(n_cols)
+        self.segments = [model._flat_ensemble() for model in models]
+        for ens in self.segments:
+            for name, _, dtype in self._ARRAYS:
+                array = getattr(ens, name)
+                if array.dtype != dtype or not array.flags.c_contiguous:
+                    raise TypeError(f"ensemble {name} is not contiguous {dtype}")
+        self.seg_trees = np.array([e.roots.size for e in self.segments], dtype=np.int64)
+        self.seg_col = np.array(col_bases, dtype=np.int64)
+        self.seg_depth = np.array([e.depth for e in self.segments], dtype=np.int64)
+        self.base = np.array([m.base_score_ for m in models], dtype=float)
+        self.rate = np.array([m.learning_rate for m in models], dtype=float)
+        self._tables = None  # per-process kernel pointer tables
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_tables": None}
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.segments)
+
+    def _pointer_tables(self, ffi) -> tuple:
+        """One C pointer array per ensemble array, built once per process
+        (the segments, which own the memory, live as long as ``self``)."""
+        tables = self._tables
+        if tables is None:
+            tables = tuple(
+                ffi.new(
+                    f"{ctype}[]",
+                    [ffi.cast(ctype, getattr(e, name).ctypes.data) for e in self.segments],
+                )
+                for name, ctype, _ in self._ARRAYS
+            )
+            self._tables = tables
+        return tables
+
+    def sum_values(self, X: np.ndarray) -> np.ndarray:
+        """Leaf-value sums, one column per segment (before shrinkage)."""
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_cols:
+            raise ValueError(
+                f"X must have shape (n, {self.n_cols}), got {X.shape}"
+            )
+        n = X.shape[0]
+        out = np.empty((n, self.n_segments))
+        kernel = get_kernel()
+        if kernel is None:
+            for s, ens in enumerate(self.segments):
+                out[:, s] = ens.sum_values(X[:, self.seg_col[s] :])
+            return out
+        ffi, lib = kernel
+        leaf = np.empty(n * int(self.seg_trees.max(initial=0)))
+
+        def ptr(kind, a):
+            return ffi.cast(kind, a.ctypes.data)
+
+        lib.forest_predict(
+            ptr("double *", X), n, self.n_cols, self.n_segments,
+            *self._pointer_tables(ffi),
+            ptr("long *", self.seg_trees), ptr("long *", self.seg_col),
+            ptr("long *", self.seg_depth),
+            ptr("double *", leaf), ptr("double *", out),
+        )
+        return out
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Every model's prediction, one column per segment.
+
+        Column ``s`` equals ``models[s].predict(X[:, cols_s])`` bit for
+        bit: the same per-element ``base + rate * sum``.
+        """
+        return self.base + self.rate * self.sum_values(X)
 
 
 class GradientBoostingRegressor:

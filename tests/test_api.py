@@ -452,6 +452,29 @@ class TestPredictionService:
         assert snapshot["responses"] == 5 * len(requests)
         assert snapshot["batched_intervals"] == 5 * len(requests)
 
+    @pytest.mark.parametrize("kind", ["total", "report"])
+    def test_same_name_different_params_not_coalesced(
+        self, autopower2, flow, dhrystone, kind
+    ):
+        # Regression: requests used to be grouped by config *name*, so a
+        # second config sharing the name was predicted with the first
+        # one's parameters.
+        from repro.arch.config import BoomConfig
+
+        c8 = config_by_name("C8")
+        wide = BoomConfig("C8", {**c8.params, "RobEntry": 2 * c8["RobEntry"]})
+        events = flow.run(c8, dhrystone).events
+        service = api.PredictionService(autopower2)
+        pair = service.submit_many(
+            [
+                api.PredictRequest(c8, events, dhrystone, kind=kind),
+                api.PredictRequest(wide, events, dhrystone, kind=kind),
+            ]
+        )
+        alone = service.predict(api.PredictRequest(wide, events, dhrystone, kind=kind))
+        assert pair[1].total == alone.total
+        assert pair[1].total != pair[0].total
+
     def test_parallel_fanout_matches_serial(self, autopower2, requests):
         serial = api.PredictionService(autopower2)
         threaded = api.PredictionService(autopower2, n_jobs=2, backend="thread")
