@@ -9,7 +9,7 @@ benchmarks.  All cases carry the ``perf_smoke`` marker:
 Two regimes are covered: the few-shot regime AutoPower actually fits in
 (a dozen samples, ~150 boosting rounds — dominated by numpy dispatch, the
 reason for the per-fit sort/size caches), and a larger regime where the
-histogram mode and the fused-ensemble batch inference matter.
+exact split search and the fused-ensemble batch inference matter.
 """
 
 from __future__ import annotations
@@ -54,45 +54,13 @@ def test_fewshot_fit_exact(benchmark):
         ).fit(X, y)
 
     model = benchmark(fit)
-    assert model.n_trees_ == 150
-    assert model.train_losses_[-1] <= model.train_losses_[0]
-
-
-@pytest.mark.perf_smoke
-def test_bulk_fit_hist(benchmark):
-    """Histogram mode on a larger matrix (shared per-fit bin cache)."""
-    X, y = _bulk_data()
-
-    def fit():
-        return GradientBoostingRegressor(
-            n_estimators=40, learning_rate=0.1, max_depth=4,
-            tree_method="hist", max_bin=64,
-        ).fit(X, y)
-
-    model = benchmark(fit)
-    resid = model.predict(X) - y
-    assert float(np.sqrt(np.mean(resid**2))) < 2.0
-
-
-@pytest.mark.perf_smoke
-def test_bulk_fit_hist32(benchmark):
-    """Histogram mode with the float32 score pipeline (hist_dtype)."""
-    X, y = _bulk_data()
-
-    def fit():
-        return GradientBoostingRegressor(
-            n_estimators=40, learning_rate=0.1, max_depth=4,
-            tree_method="hist", max_bin=64, hist_dtype="float32",
-        ).fit(X, y)
-
-    model = benchmark(fit)
-    resid = model.predict(X) - y
-    assert float(np.sqrt(np.mean(resid**2))) < 2.0
+    assert model._flat_ensemble().roots.size == 150
+    assert np.mean((model.predict(X) - y) ** 2) <= np.var(y)
 
 
 @pytest.mark.perf_smoke
 def test_bulk_fit_exact(benchmark):
-    """Exact mode on the same matrix, for the hist/exact tradeoff curve."""
+    """Exact split search on a larger matrix."""
     X, y = _bulk_data()
 
     def fit():
@@ -101,7 +69,7 @@ def test_bulk_fit_exact(benchmark):
         ).fit(X, y)
 
     model = benchmark(fit)
-    assert model.n_trees_ == 40
+    assert model._flat_ensemble().roots.size == 40
 
 
 # -- fit scaling: the AutoPower fan-out through the executor ----------------
@@ -141,7 +109,7 @@ def test_fit_scaling_serial(benchmark):
 
     models = benchmark(executor.map, _fit_fanout_task, payloads)
     assert len(models) == len(payloads)
-    assert all(m.n_trees_ == 60 for m in models)
+    assert all(m._flat_ensemble().roots.size == 60 for m in models)
 
 
 @pytest.mark.perf_smoke

@@ -1,4 +1,4 @@
-"""AutoPower model state codecs + legacy save/load entry points.
+"""AutoPower model state codecs.
 
 Training needs the full EDA flow (slow, licensed tooling in the paper's
 setting); prediction only needs hardware parameters and a performance
@@ -10,14 +10,10 @@ This module owns the AutoPower *state codec* — :func:`autopower_to_state`
 JSON types (ridge coefficients, boosted trees, fitted scaling laws, the
 calibrated SRAM constant — no pickle, safe to check into a repo).  File
 I/O lives in :mod:`repro.api.persistence`, which wraps any registered
-method's state in a versioned envelope; :func:`save_autopower` and
-:func:`load_autopower` remain as thin delegating shims over that API
-(files written here are format-v2 envelopes; format-v1 files still load).
+method's state in a versioned envelope (``save_model`` / ``load_model``).
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.core.autopower import AutoPower
 from repro.core.clock import _ComponentClockModel
@@ -34,8 +30,6 @@ from repro.ml.serialize import (
 __all__ = [
     "autopower_from_state",
     "autopower_to_state",
-    "load_autopower",
-    "save_autopower",
 ]
 
 
@@ -163,33 +157,4 @@ def autopower_from_state(state: dict, library: TechLibrary | None = None) -> Aut
 
     model.train_config_names = tuple(state["train_config_names"])
     model._fitted = True
-    return model
-
-
-def save_autopower(model: AutoPower, path: str | Path) -> None:
-    """Serialize a fitted AutoPower model to a JSON file.
-
-    Thin shim over :func:`repro.api.save_model` (kept for backwards
-    compatibility); the file written is a method-agnostic format-v2
-    envelope.
-    """
-    from repro.api import save_model  # repro: noqa[LAYER001] -- lazy back-compat shim; repro.api owns the format, this name predates it
-
-    save_model(model, path)
-
-
-def load_autopower(path: str | Path, library: TechLibrary | None = None) -> AutoPower:
-    """Load a fitted AutoPower model from a JSON file.
-
-    Thin shim over :func:`repro.api.load_model` (kept for backwards
-    compatibility); accepts both format-v2 envelopes and legacy format-v1
-    AutoPower files.  The technology library is looked up by name (it is
-    part of the flow, not of the learned state); pass ``library``
-    explicitly when using a non-default one.
-    """
-    from repro.api import load_model  # repro: noqa[LAYER001] -- lazy back-compat shim; repro.api owns the format, this name predates it
-
-    model = load_model(path, library=library)
-    if not isinstance(model, AutoPower):
-        raise ValueError(f"{path} does not contain an AutoPower model")
     return model

@@ -12,32 +12,24 @@ The paper uses two model families:
 This environment has no network access, so :mod:`repro.ml.gbm` provides a
 from-scratch gradient-boosted regression-tree implementation with the
 XGBoost-style regularized objective (squared loss, shrinkage, ``reg_lambda``,
-``min_child_weight``, depth limit, feature/row subsampling).
+``min_child_weight``, ``gamma``, depth limit).
 
-Level-wise engine (PR 3, vectorized engine in PR 1)
----------------------------------------------------
-The original engine searched splits with a per-candidate Python loop and
-traversed trees row by row; PR 1 vectorized the per-node search, and PR 3
-replaced per-node recursion entirely with **level-wise frontier growth**:
-all open nodes of a depth level live as row segments over one shared
-presorted workspace (:class:`~repro.ml.tree.TreeWorkspace`), the split
-search for every frontier node and feature runs in one batched pass, and
-nodes are emitted straight into preorder struct-of-arrays buffers
-(:class:`~repro.ml.tree.FlatTree`) — no recursion, no per-node argsorts,
-no per-node cache keys.  ``tree_method="hist"`` batches the same way via
-one composite-key ``bincount`` per level (:class:`~repro.ml.tree.
-HistogramBinner`; ``hist_dtype="float32"`` for a single-precision score
-pipeline).  When a C compiler and ``cffi`` are available, the hot GBM fit
-(exact mode, full rows/columns) runs the identical algorithm as one
-compiled call per fit (:mod:`repro.ml._kernel`; disable with
-``REPRO_NO_KERNEL=1``) — results are byte-identical to the numpy engine.
-:mod:`repro.ml.gbm` assembles the fused inference ensemble incrementally
-during fit and advances all rows x all trees in lockstep at predict time.
-Measured on the repo's single-core container (interleaved A/B): few-shot
-fit 20.0ms -> 1.7ms (~12x), bulk exact fit 226ms -> 64ms (~3.5x),
-``fig6_sweep.run()`` 18.1s -> 4.1s (~4.4x); exact-mode predictions match
-the scalar reference to <=1e-9 relative (see
-``tests/test_ml_engine_equivalence.py``, ``tests/test_ml_levelwise.py``).
+One ensemble per model
+----------------------
+The paper fits each boosted sub-model on a handful of rows (2-3 known
+configurations x 8 workloads), so every round runs the exact greedy
+split search over all rows and features.  A fitted
+:class:`~repro.ml.gbm.GradientBoostingRegressor` owns exactly one
+node-array set: all its trees concatenated in preorder, leaves encoded
+as self-loops.  The fit writes it directly — the compiled kernel
+(:mod:`repro.ml._kernel`, one call per fit; disable with
+``REPRO_NO_KERNEL=1``) or, without a compiler, the numpy level-wise
+engine (:mod:`repro.ml.tree`, one batched split search per depth level)
+appending one tree per round; the two are byte-identical.  Prediction
+descends every row through every tree in lockstep, and
+:class:`~repro.ml.gbm.Forest` walks many models' ensembles in one
+compiled call.  :mod:`repro.ml.serialize` saves one preorder node list
+per tree and rebuilds the ensemble from them on load.
 """
 
 from repro.ml.gbm import GradientBoostingRegressor
@@ -51,11 +43,9 @@ from repro.ml.metrics import (
     rmse,
 )
 from repro.ml.scaling import StandardScaler
-from repro.ml.tree import RegressionTree
 
 __all__ = [
     "GradientBoostingRegressor",
-    "RegressionTree",
     "RidgeRegression",
     "StandardScaler",
     "mape",

@@ -6,9 +6,12 @@ numpy engine pays a few microseconds of dispatch per array expression,
 which dominates when nodes hold a dozen rows.  This module compiles a
 small, dependency-free C implementation of the *same* level-wise frontier
 algorithm (one batched scan per depth level over presorted segments,
-stable position-cut partition, preorder struct-of-arrays emission) and
-drives the whole boosting loop in one call per fit.  A second entry
-point, ``forest_predict``, walks many fitted ensembles (see
+stable position-cut partition, preorder emission) and drives the whole
+boosting loop in one call per fit.  ``gbm_fit_exact`` writes the model's
+one node-array set — the fused ensemble of
+:class:`repro.ml.gbm.GradientBoostingRegressor`, leaves as self-loops —
+straight into caller-owned buffers.  A second entry point,
+``forest_predict``, walks many fitted ensembles (see
 :class:`repro.ml.gbm.Forest`) in one call.
 
 Build strategy: the C source below is written to a per-user cache
@@ -16,9 +19,9 @@ directory and compiled with the system C compiler into a plain shared
 library (no Python headers needed), then loaded through ``cffi``'s ABI
 mode.  Everything is best-effort: no compiler, no ``cffi``, a failed
 build, or ``REPRO_NO_KERNEL=1`` simply mean :func:`get_kernel` returns
-``None`` and callers use the pure-numpy engine — results are equivalent
-(see ``tests/test_ml_levelwise.py`` which pins the two paths against each
-other).
+``None`` and callers use the pure-numpy engine — results are
+byte-identical (see ``tests/test_ml_levelwise.py`` which pins the two
+paths against each other).
 
 Floating-point discipline: compiled with ``-ffp-contract=off`` (no FMA
 contraction) so candidate scores are the same IEEE double operations the
@@ -45,13 +48,10 @@ long gbm_fit_exact(
     const double *xt, const long *order, const long *posof,
     long n, long f, const double *y,
     long n_estimators, double learning_rate, long max_depth,
-    double lam, double mcw, double gamma, long mss,
-    long early_stop, double base_score,
-    double *pred, double *losses,
-    long max_nodes, long *tree_off,
+    double lam, double mcw, double gamma,
+    double *pred, long max_nodes, long *tree_off,
     int *feat_out, double *thr_out, int *left_out, int *right_out,
-    double *val_out, long *nsamp_out, int *depth_out,
-    int *ens_feat, double *ens_thr, int *ens_left, int *ens_right);
+    double *val_out, long *nsamp_out);
 void forest_predict(
     const double *x, long n_rows, long n_cols, long n_seg,
     int **feat, double **thr, int **left, int **right,
@@ -61,12 +61,14 @@ void forest_predict(
 """
 
 _SOURCE = r"""
-/* Level-wise exact-mode GBM fit (squared loss, unit hessian, full rows
- * and columns).  Mirrors repro.ml.tree._grow_exact: the frontier of each
- * depth level is a set of contiguous row segments over a per-feature
- * presorted order; the split search scans every (node, feature) of the
- * level; accepted splits partition segments by a stable position cut
- * (never re-sorting); nodes are laid out in preorder at emission.
+/* Level-wise exact GBM fit (squared loss, unit hessian).  Mirrors
+ * repro.ml.tree._grow_exact: the frontier of each depth level is a set of
+ * contiguous row segments over a per-feature presorted order; the split
+ * search scans every (node, feature) of the level; accepted splits
+ * partition segments by a stable position cut (never re-sorting); nodes
+ * are laid out in preorder at emission, in the fused ensemble's form
+ * (global child indices, leaves as self-loops).  Returns the deepest
+ * tree's depth, or -1 when scratch allocation fails.
  *
  * Numerical contract: cumulative gradient sums run sequentially in the
  * stable sort order (bitwise-identical to the scalar reference), scores
@@ -88,15 +90,12 @@ long gbm_fit_exact(
     const double *xt, const long *order, const long *posof,
     long n, long f, const double *y,
     long n_estimators, double learning_rate, long max_depth,
-    double lam, double mcw, double gamma, long mss,
-    long early_stop, double base_score,
-    double *pred, double *losses,
-    long max_nodes, long *tree_off,
+    double lam, double mcw, double gamma,
+    double *pred, long max_nodes, long *tree_off,
     int *feat_out, double *thr_out, int *left_out, int *right_out,
-    double *val_out, long *nsamp_out, int *depth_out,
-    int *ens_feat, double *ens_thr, int *ens_left, int *ens_right)
+    double *val_out, long *nsamp_out)
 {
-    (void)base_score; /* pred arrives prefilled */
+    /* pred arrives prefilled with the base score */
     long *part = malloc((size_t)f * n * sizeof(long));
     long *part2 = malloc((size_t)f * n * sizeof(long));
     double *grad = malloc((size_t)n * sizeof(double));
@@ -105,25 +104,22 @@ long gbm_fit_exact(
     /* BFS-order scratch for one tree */
     double *b_val = malloc((size_t)max_nodes * sizeof(double));
     double *b_thr = malloc((size_t)max_nodes * sizeof(double));
-    double *b_g = malloc((size_t)max_nodes * sizeof(double));
     long *b_n = malloc((size_t)max_nodes * sizeof(long));
     long *b_feat = malloc((size_t)max_nodes * sizeof(long));
     long *b_child = malloc((size_t)max_nodes * sizeof(long));
     long *b_sz = malloc((size_t)max_nodes * sizeof(long));
     long *b_pos = malloc((size_t)max_nodes * sizeof(long));
     if (!part || !part2 || !grad || !segs || !segs2 || !b_val || !b_thr ||
-        !b_g || !b_n || !b_feat || !b_child || !b_sz || !b_pos) {
+        !b_n || !b_feat || !b_child || !b_sz || !b_pos) {
         free(part); free(part2); free(grad); free(segs); free(segs2);
-        free(b_val); free(b_thr); free(b_g); free(b_n); free(b_feat);
+        free(b_val); free(b_thr); free(b_n); free(b_feat);
         free(b_child); free(b_sz); free(b_pos);
         return -1;
     }
 
     for (long i = 0; i < n; i++) grad[i] = pred[i] - y[i];
 
-    double best_loss = INFINITY;
-    long rounds_since_best = 0;
-    long rounds = 0;
+    long max_tree_depth = 0;
     tree_off[0] = 0;
 
     for (long t = 0; t < n_estimators; t++) {
@@ -136,7 +132,7 @@ long gbm_fit_exact(
         long nseg = 1;
         segs[0].start = 0; segs[0].size = n; segs[0].g = g_root; segs[0].bfs = 0;
         long n_bfs = 1;
-        b_g[0] = g_root; b_n[0] = n; b_feat[0] = -1; b_child[0] = -1;
+        b_n[0] = n; b_feat[0] = -1; b_child[0] = -1;
         long tree_depth = 0;
 
         for (long depth = 0; nseg > 0; depth++) {
@@ -150,7 +146,7 @@ long gbm_fit_exact(
                 b_val[bi] = value;
                 long bf = -1, bj = -1;
                 double best = -INFINITY, bcum = 0.0;
-                if (depth < max_depth && sz >= mss) {
+                if (depth < max_depth && sz >= 2) {
                     for (long feat = 0; feat < f; feat++) {
                         const long *rows = part + feat * n + st;
                         const double *xv = xt + feat * n;
@@ -207,9 +203,9 @@ long gbm_fit_exact(
                 segs2[nseg2].start = o2 + nl; segs2[nseg2].size = nr;
                 segs2[nseg2].g = gsum - bcum; segs2[nseg2].bfs = n_bfs + 1;
                 nseg2++;
-                b_g[n_bfs] = bcum; b_n[n_bfs] = nl;
+                b_n[n_bfs] = nl;
                 b_feat[n_bfs] = -1; b_child[n_bfs] = -1;
-                b_g[n_bfs + 1] = gsum - bcum; b_n[n_bfs + 1] = nr;
+                b_n[n_bfs + 1] = nr;
                 b_feat[n_bfs + 1] = -1; b_child[n_bfs + 1] = -1;
                 n_bfs += 2;
                 o2 += sz;
@@ -244,51 +240,26 @@ long gbm_fit_exact(
                 long lc = b_child[i];
                 feat_out[p] = (int)b_feat[i];
                 thr_out[p] = b_thr[i];
-                left_out[p] = (int)b_pos[lc];
-                right_out[p] = (int)b_pos[lc + 1];
-                ens_feat[p] = (int)b_feat[i];
-                ens_thr[p] = b_thr[i];
-                ens_left[p] = (int)(base + b_pos[lc]);
-                ens_right[p] = (int)(base + b_pos[lc + 1]);
+                left_out[p] = (int)(base + b_pos[lc]);
+                right_out[p] = (int)(base + b_pos[lc + 1]);
             } else {
-                feat_out[p] = -1;
-                thr_out[p] = 0.0;
-                left_out[p] = -1;
-                right_out[p] = -1;
-                ens_feat[p] = 0;           /* leaves route through col 0 */
-                ens_thr[p] = INFINITY;     /* ... and always go left */
-                ens_left[p] = (int)p;      /* self-loop */
-                ens_right[p] = (int)p;
+                feat_out[p] = 0;           /* leaves route through col 0 */
+                thr_out[p] = INFINITY;     /* ... and always go left */
+                left_out[p] = (int)p;      /* self-loop */
+                right_out[p] = (int)p;
             }
         }
         tree_off[t + 1] = base + n_bfs;
-        depth_out[t] = (int)tree_depth;
+        if (tree_depth > max_tree_depth) max_tree_depth = tree_depth;
 
         /* ---- post-round residual doubles as the next gradient ---- */
-        double loss = 0.0;
-        for (long i = 0; i < n; i++) {
-            double gi = pred[i] - y[i];
-            grad[i] = gi;
-            loss += gi * gi;
-        }
-        loss /= (double)n;
-        losses[t] = loss;
-        rounds = t + 1;
-        if (early_stop >= 0) {  /* negative = disabled (None in Python) */
-            if (loss < best_loss - 1e-12) {
-                best_loss = loss;
-                rounds_since_best = 0;
-            } else {
-                rounds_since_best++;
-                if (rounds_since_best >= early_stop) break;
-            }
-        }
+        for (long i = 0; i < n; i++) grad[i] = pred[i] - y[i];
     }
 
     free(part); free(part2); free(grad); free(segs); free(segs2);
-    free(b_val); free(b_thr); free(b_g); free(b_n); free(b_feat);
+    free(b_val); free(b_thr); free(b_n); free(b_feat);
     free(b_child); free(b_sz); free(b_pos);
-    return rounds;
+    return max_tree_depth;
 }
 
 /* numpy's pairwise summation (pairwise_sum_DOUBLE), so a segment sum is

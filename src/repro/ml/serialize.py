@@ -5,28 +5,31 @@ lets a team train once against the (slow, licensed) EDA flow and ship the
 fitted model to architects who only have the performance simulator.  All
 formats are plain dicts of JSON types — no pickle.
 
-Trees serialize in their flattened struct-of-arrays form (``feature[]``,
-``threshold[]``, ``left[]``, ``right[]``, ``value[]`` — the exact arrays
-the vectorized inference engine runs on); the legacy nested ``root``
-format from earlier releases is still accepted on load.
+A GBM saves one entry per tree: the tree's preorder node lists
+(``feature[]``, ``threshold[]``, ``left[]``, ``right[]``, ``value[]``,
+``n_samples[]``; a leaf has feature ``-1`` and children ``-1``) and the
+model columns its features index.  The writer derives them from the
+model's fused ensemble; the reader builds the ensemble straight from
+them, after checking every index a compiled descent would follow.  Files
+from earlier releases — column-subsampled or histogram-fitted models,
+and the nested ``root`` tree format — still load and predict the same.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.gbm import GradientBoostingRegressor, _FlatEnsemble
 from repro.ml.linear import RidgeRegression
-from repro.ml.tree import FlatTree, RegressionTree, TreeNode
 
 __all__ = [
     "gbm_from_dict",
     "gbm_to_dict",
     "ridge_from_dict",
     "ridge_to_dict",
-    "tree_from_dict",
-    "tree_to_dict",
 ]
+
+_NODE_KEYS = ("feature", "threshold", "left", "right", "value", "n_samples")
 
 
 # -- ridge ------------------------------------------------------------------
@@ -58,97 +61,58 @@ def ridge_from_dict(state: dict) -> RidgeRegression:
     return model
 
 
-# -- tree -------------------------------------------------------------------
-def _node_from_dict(state: dict, depth: int = 0) -> TreeNode:
-    """Legacy nested-``root`` reader (pre-flattened format)."""
-    node = TreeNode(
-        value=float(state["value"]),
-        n_samples=int(state.get("n_samples", 0)),
-        depth=depth,
-    )
-    if "left" in state:
-        node.feature = int(state["feature"])
-        node.threshold = float(state["threshold"])
-        node.left = _node_from_dict(state["left"], depth + 1)
-        node.right = _node_from_dict(state["right"], depth + 1)
-    return node
-
-
-def tree_to_dict(tree: RegressionTree) -> dict:
-    if tree.flat_ is None and tree._root is None:
-        raise ValueError("cannot serialize an unfitted RegressionTree")
-    flat = tree.ensure_flat()
-    return {
-        "kind": "tree",
-        "n_features": tree.n_features_,
-        "max_depth": tree.max_depth,
-        "reg_lambda": tree.reg_lambda,
-        "tree_method": tree.tree_method,
-        "nodes": {
-            "feature": flat.feature.tolist(),
-            "threshold": flat.threshold.tolist(),
-            "left": flat.left.tolist(),
-            "right": flat.right.tolist(),
-            "value": flat.value.tolist(),
-            "n_samples": flat.n_samples.tolist(),
-        },
-    }
-
-
-def tree_from_dict(state: dict) -> RegressionTree:
-    if state.get("kind") != "tree":
-        raise ValueError(f"not a tree state: {state.get('kind')!r}")
-    tree = RegressionTree(
-        max_depth=int(state["max_depth"]),
-        reg_lambda=float(state["reg_lambda"]),
-        tree_method=str(state.get("tree_method", "exact")),
-    )
-    tree.n_features_ = int(state["n_features"])
-    if "nodes" in state:
-        nodes = state["nodes"]
-        tree.flat_ = FlatTree(
-            np.asarray(nodes["feature"], dtype=np.int32),
-            np.asarray(nodes["threshold"], dtype=float),
-            np.asarray(nodes["left"], dtype=np.int32),
-            np.asarray(nodes["right"], dtype=np.int32),
-            np.asarray(nodes["value"], dtype=float),
-            np.asarray(nodes["n_samples"], dtype=np.int64),
-        )
-        # root_ materializes lazily from flat_ on first introspection.
-    else:  # legacy nested format
-        tree.root_ = _node_from_dict(state["root"])
-        tree.flat_ = FlatTree.from_node(tree.root_)
-    return tree
-
-
 # -- gradient boosting --------------------------------------------------------
 def gbm_to_dict(model: GradientBoostingRegressor) -> dict:
+    if model._ensemble is None:
+        raise ValueError("cannot serialize an unfitted GradientBoostingRegressor")
+    ens = model._ensemble
+    n_features = model.n_features_
+    n_nodes = ens.value.size
+    bounds = ens.roots.tolist() + [n_nodes]
+    sizes = np.diff(bounds)
+    root = np.repeat(ens.roots, sizes)
+    leaf = ens.left == np.arange(n_nodes)
+    nodes = {
+        "feature": np.where(leaf, -1, ens.feature).tolist(),
+        "threshold": np.where(leaf, 0.0, ens.threshold).tolist(),
+        "left": np.where(leaf, -1, ens.left - root).tolist(),
+        "right": np.where(leaf, -1, ens.right - root).tolist(),
+        "value": ens.value.tolist(),
+        "n_samples": ens.n_samples.tolist(),
+    }
+    # The fit has no sampling or histogram knobs; the format keeps their
+    # keys, at the values that mean full-data exact fitting, so saved
+    # bytes do not change and older readers still load the files.
     params = {
         "n_estimators": model.n_estimators,
         "max_depth": model.max_depth,
         "reg_lambda": model.reg_lambda,
         "min_child_weight": model.min_child_weight,
         "gamma": model.gamma,
-        "subsample": model.subsample,
-        "colsample_bytree": model.colsample_bytree,
-        "tree_method": model.tree_method,
-        "max_bin": model.max_bin,
+        "subsample": 1.0,
+        "colsample_bytree": 1.0,
+        "tree_method": "exact",
+        "max_bin": 256,
         "random_state": model.random_state,
     }
-    if model.hist_dtype != "float64":
-        # Emitted only when non-default so existing serialized models stay
-        # byte-identical on the wire.
-        params["hist_dtype"] = model.hist_dtype
+    trees = []
+    for a, b in zip(bounds, bounds[1:]):
+        tree = {
+            "kind": "tree",
+            "n_features": n_features,
+            "max_depth": model.max_depth,
+            "reg_lambda": model.reg_lambda,
+            "tree_method": "exact",
+            "nodes": {key: values[a:b] for key, values in nodes.items()},
+        }
+        trees.append({"tree": tree, "columns": list(range(n_features))})
     return {
         "kind": "gbm",
         "learning_rate": model.learning_rate,
         "base_score": model.base_score_,
-        "n_features": model.n_features_,
+        "n_features": n_features,
         "params": params,
-        "trees": [
-            {"tree": tree_to_dict(tree), "columns": cols.tolist()}
-            for tree, cols in model.trees_
-        ],
+        "trees": trees,
     }
 
 
@@ -163,18 +127,104 @@ def gbm_from_dict(state: dict) -> GradientBoostingRegressor:
         reg_lambda=params["reg_lambda"],
         min_child_weight=params["min_child_weight"],
         gamma=params["gamma"],
-        subsample=params["subsample"],
-        colsample_bytree=params["colsample_bytree"],
-        tree_method=params.get("tree_method", "exact"),
-        max_bin=params.get("max_bin", 256),
-        hist_dtype=params.get("hist_dtype", "float64"),
         random_state=params["random_state"],
     )
     model.base_score_ = float(state["base_score"])
     model.n_features_ = int(state["n_features"])
-    model.trees_ = [
-        (tree_from_dict(entry["tree"]), np.asarray(entry["columns"], dtype=int))
-        for entry in state["trees"]
-    ]
-    model.mark_fitted()
+    model._ensemble = _ensemble_from_trees(state["trees"], model.n_features_)
     return model
+
+
+def _ensemble_from_trees(trees: list, n_features: int) -> _FlatEnsemble:
+    """The fused ensemble of saved trees, validated before anything walks it.
+
+    Feature ``j`` of a tree reads model column ``columns[j]``.  Rejects
+    unequal or empty node lists, a column outside ``[0, n_features)``, a
+    feature outside the tree's columns, and a child that does not follow
+    its parent inside the same tree (preorder) or has two parents — each
+    would send the compiled descent outside its arrays.
+    """
+    if not trees:
+        raise ValueError("a saved gbm needs at least one tree")
+    lists: dict = {key: [] for key in _NODE_KEYS}
+    lengths: dict = {key: [] for key in _NODE_KEYS}
+    n_cols, columns = [], []
+    for entry in trees:
+        tree = entry["tree"]
+        if tree.get("kind") != "tree":
+            raise ValueError(f"not a tree state: {tree.get('kind')!r}")
+        nodes = tree["nodes"] if "nodes" in tree else _nodes_from_nested(tree["root"])
+        for key in _NODE_KEYS:
+            lists[key] += nodes[key]
+            lengths[key].append(len(nodes[key]))
+        n_cols.append(len(entry["columns"]))
+        columns += entry["columns"]
+    sizes = lengths["feature"]
+    if 0 in sizes or any(lengths[key] != sizes for key in _NODE_KEYS):
+        raise ValueError("a tree's node lists must have equal, non-zero length")
+
+    sizes = np.array(sizes)
+    n_cols = np.array(n_cols)
+    columns = np.array(columns, dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(sizes.size), sizes)
+    root = roots[tree_of]
+    ids = np.arange(root.size)
+    feature = np.array(lists["feature"], dtype=np.int64)
+    split = feature >= 0
+    left = np.where(split, np.array(lists["left"], dtype=np.int64) + root, ids)
+    right = np.where(split, np.array(lists["right"], dtype=np.int64) + root, ids)
+    end = root + sizes[tree_of]
+    if np.any(columns < 0) or np.any(columns >= n_features):
+        raise ValueError(f"a tree column is outside [0, {n_features})")
+    if np.any(split & (feature >= n_cols[tree_of])):
+        raise ValueError("a node's feature is outside its tree's columns")
+    for child in (left, right):
+        if np.any(split & ((child <= ids) | (child >= end))):
+            raise ValueError("a node's child is not a later node of its tree")
+    if np.bincount(np.concatenate((left[split], right[split]))).max(initial=0) > 1:
+        raise ValueError("a node is the child of two parents")
+
+    model_feature = np.zeros(ids.size, dtype=np.int32)
+    col_base = (np.cumsum(n_cols) - n_cols)[tree_of]
+    model_feature[split] = columns[(col_base + feature)[split]]
+    # Levels of internal nodes, all trees at once; every node has one
+    # parent and follows it, so the walk ends.
+    depth = 0
+    level = roots[split[roots]]
+    while level.size:
+        depth += 1
+        level = np.concatenate((left[level], right[level]))
+        level = level[split[level]]
+    return _FlatEnsemble(
+        model_feature,
+        np.where(split, np.array(lists["threshold"], dtype=float), np.inf),
+        left.astype(np.int32),
+        right.astype(np.int32),
+        np.array(lists["value"], dtype=float),
+        np.array(lists["n_samples"], dtype=np.int64),
+        roots.astype(np.int32),
+        depth,
+    )
+
+
+def _nodes_from_nested(root: dict) -> dict:
+    """Preorder node lists of a tree in the legacy nested ``root`` format."""
+    nodes: dict = {key: [] for key in _NODE_KEYS}
+
+    def visit(node: dict) -> int:
+        i = len(nodes["value"])
+        split = "left" in node
+        nodes["feature"].append(int(node["feature"]) if split else -1)
+        nodes["threshold"].append(float(node["threshold"]) if split else 0.0)
+        nodes["left"].append(-1)
+        nodes["right"].append(-1)
+        nodes["value"].append(float(node["value"]))
+        nodes["n_samples"].append(int(node.get("n_samples", 0)))
+        if split:
+            nodes["left"][i] = visit(node["left"])
+            nodes["right"][i] = visit(node["right"])
+        return i
+
+    visit(root)
+    return nodes

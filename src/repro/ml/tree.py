@@ -1,15 +1,11 @@
-"""CART-style regression tree with an XGBoost-flavoured split objective.
+"""Level-wise exact tree growth: one boosting round of the GBM.
 
-The tree minimizes the regularized squared-loss objective used by XGBoost:
-for a leaf with gradient sum ``G`` and hessian sum ``H`` (hessian is the
-sample count for squared loss), the optimal weight is ``-G / (H + lambda)``
-and the split gain is the standard
+Each round fits one regression tree to the squared-loss gradients under
+the regularized objective XGBoost uses.  The hessian of squared loss is
+identically 1, so a node's hessian sum is its sample count ``n``: the
+optimal leaf weight is ``-G / (n + lambda)`` and a split's gain is
 
-    gain = 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ)) - γ
-
-A standalone tree (``RegressionTree.fit(X, y)``) simply boosts a single
-round from a zero prediction, which reduces to ordinary variance-minimizing
-CART with L2 leaf shrinkage.
+    gain = 0.5 * (GL²/(nL+λ) + GR²/(nR+λ) - G²/(n+λ)) - γ
 
 Level-wise frontier engine
 --------------------------
@@ -18,35 +14,28 @@ held as contiguous row segments of one shared, presorted workspace
 (:class:`TreeWorkspace` — feature-major stable sort order of ``X``, computed
 once per fit).  The split search for **every frontier node and every
 feature** runs in a single batched pass: segments are gathered into a
-padded ``(n_features, n_nodes, width)`` block, cumulative gradient/hessian
-sums restart per segment (bitwise-identical to a per-node scan), every
+padded ``(n_features, n_nodes, width)`` block, cumulative gradient sums
+restart per segment (bitwise-identical to a per-node scan), every
 candidate threshold is scored in one array expression, and one fused
 feature-major argmax per node picks the winner — ties resolve to the lowest
-(feature, position) pair, matching the historical scalar scan order.
+(feature, position) pair, matching the scalar scan order.
 
 There is no recursion and no per-node bookkeeping: accepted splits
 partition each segment in place (a stable two-way partition driven by the
 root sort order, so **no argsort ever runs below the root** — see
 ``SORT_COUNTERS``), children become the next frontier, and the per-level
-node records are scattered into preorder struct-of-arrays buffers at the
-end.  Candidate windows, regularized denominators, column grids and the
+node records are scattered into preorder node arrays at the end.
+Candidate windows, regularized denominators, column grids and the
 preorder layout depend only on the frontier *shape*, which repeats
 endlessly across boosting rounds, so they are cached per fit keyed by the
 segment-size signature.
 
-``tree_method="hist"`` grows level-wise too: one flattened ``bincount``
-over a composite (node, feature, bin) key builds every node's histograms at
-once (at most ``max_bin`` quantile buckets per feature, XGBoost-style, via
-:class:`HistogramBinner`).  ``hist_dtype="float32"`` runs the histogram
-score pipeline in single precision — cheaper on wide (nodes × features ×
-bins) grids — while thresholds, leaf values and the fitted model stay
-float64.
-
-Fitted trees are flattened into struct-of-arrays form (:class:`FlatTree`:
-``feature[]``, ``threshold[]``, ``left[]``, ``right[]``, ``value[]``) and
-inference is an iterative vectorized descent over all rows at once — no
-per-row Python.  The :class:`TreeNode` object graph is kept for
-introspection and serialization.
+A grown tree comes out directly in the fused ensemble's node form (see
+:class:`repro.ml.gbm.GradientBoostingRegressor`): preorder, tree-local
+child indices, and every leaf a self-loop (``left == right == self``)
+with feature ``0`` and threshold ``+inf``.  This module is the numpy
+engine; :mod:`repro.ml._kernel` runs the same algorithm compiled and is
+pinned to it byte for byte.
 """
 
 from __future__ import annotations
@@ -56,17 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "FlatTree",
-    "HistogramBinner",
-    "RegressionTree",
-    "SORT_COUNTERS",
-    "TreeNode",
-    "TreeWorkspace",
-]
-
-_TREE_METHODS = ("exact", "hist")
-_HIST_DTYPES = ("float64", "float32")
+__all__ = ["SORT_COUNTERS", "TreeWorkspace"]
 
 # Minimum gain (beyond zero) for a split to be kept; also the tolerance the
 # historical scalar engine used when comparing candidate gains.
@@ -108,179 +87,6 @@ def _arange(n: int) -> np.ndarray:
     return a
 
 
-@dataclass(slots=True)
-class TreeNode:
-    """A node in the fitted tree.
-
-    Internal nodes carry ``feature``/``threshold`` and two children; leaves
-    carry only ``value``.  The structure is deliberately simple so tests can
-    introspect fitted trees.
-    """
-
-    value: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    left: TreeNode | None = None
-    right: TreeNode | None = None
-    n_samples: int = 0
-    depth: int = 0
-    gain: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def count_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        assert self.left is not None and self.right is not None
-        return self.left.count_leaves() + self.right.count_leaves()
-
-
-class FlatTree:
-    """Struct-of-arrays form of a fitted tree for vectorized inference.
-
-    ``feature[i] == -1`` marks node ``i`` as a leaf (its ``left``/``right``
-    are ``-1`` and its ``threshold`` is ``0.0``); internal nodes route row
-    ``x`` to ``left[i]`` when ``x[feature[i]] <= threshold[i]`` and to
-    ``right[i]`` otherwise.  Nodes are stored in preorder, so node 0 is the
-    root.
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "value", "n_samples", "depth")
-
-    def __init__(
-        self,
-        feature: np.ndarray,
-        threshold: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-        value: np.ndarray,
-        n_samples: np.ndarray,
-    ) -> None:
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.value = np.asarray(value, dtype=float)
-        self.n_samples = np.asarray(n_samples, dtype=np.int64)
-        self.depth = _flat_depth(self.feature, self.left, self.right)
-
-    @classmethod
-    def _from_parts(
-        cls,
-        feature: np.ndarray,
-        threshold: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-        value: np.ndarray,
-        n_samples: np.ndarray,
-        depth: int,
-    ) -> FlatTree:
-        """Wrap already-typed arrays with a known depth (builder hot path).
-
-        Structure arrays (``left``/``right``/``n_samples``) may be shared
-        between trees of identical shape; they are treated as immutable.
-        """
-        tree = object.__new__(cls)
-        tree.feature = feature
-        tree.threshold = threshold
-        tree.left = left
-        tree.right = right
-        tree.value = value
-        tree.n_samples = n_samples
-        tree.depth = depth
-        return tree
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.feature.size)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_node(cls, root: TreeNode) -> FlatTree:
-        """Flatten a :class:`TreeNode` graph (preorder)."""
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
-        n_samples: list[int] = []
-
-        def visit(node: TreeNode) -> int:
-            i = len(feature)
-            feature.append(node.feature if not node.is_leaf else -1)
-            threshold.append(node.threshold if not node.is_leaf else 0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(node.value)
-            n_samples.append(node.n_samples)
-            if not node.is_leaf:
-                assert node.left is not None and node.right is not None
-                left[i] = visit(node.left)
-                right[i] = visit(node.right)
-            return i
-
-        visit(root)
-        return cls(
-            np.array(feature, dtype=np.int32),
-            np.array(threshold, dtype=float),
-            np.array(left, dtype=np.int32),
-            np.array(right, dtype=np.int32),
-            np.array(value, dtype=float),
-            np.array(n_samples, dtype=np.int64),
-        )
-
-    def to_node(self) -> TreeNode:
-        """Rebuild the :class:`TreeNode` graph (for introspection)."""
-
-        def build(i: int, depth: int) -> TreeNode:
-            node = TreeNode(
-                value=float(self.value[i]),
-                n_samples=int(self.n_samples[i]),
-                depth=depth,
-            )
-            if self.feature[i] >= 0:
-                node.feature = int(self.feature[i])
-                node.threshold = float(self.threshold[i])
-                node.left = build(int(self.left[i]), depth + 1)
-                node.right = build(int(self.right[i]), depth + 1)
-            return node
-
-        return build(0, 0)
-
-    # ------------------------------------------------------------------
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf values for every row — iterative vectorized descent."""
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        for _ in range(self.depth):
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            sub = node[rows]
-            go_left = X[rows, feat[rows]] <= self.threshold[sub]
-            node[rows] = np.where(go_left, self.left[sub], self.right[sub])
-        return self.value[node]
-
-
-def _flat_depth(feature: np.ndarray, left: np.ndarray, right: np.ndarray) -> int:
-    """Depth of a flattened tree (0 for a stump leaf)."""
-    depth = np.zeros(feature.size, dtype=np.int64)
-    best = 0
-    # Preorder guarantees children have larger indices than their parent,
-    # so one forward pass settles every node's depth.
-    for i in range(feature.size):
-        if feature[i] >= 0:
-            child = depth[i] + 1
-            depth[left[i]] = child
-            depth[right[i]] = child
-            if child > best:
-                best = int(child)
-    return best
-
-
 class TreeWorkspace:
     """Per-fit workspace for level-wise exact growth.
 
@@ -300,9 +106,6 @@ class TreeWorkspace:
     ``posof``
         the inverse permutation of ``order`` (row -> sorted position),
         used to partition child segments without re-sorting.
-
-    Column subsampling slices the workspace (row subsampling invalidates it
-    — the caller must build a fresh one then).
     """
 
     __slots__ = ("xt", "order", "sv", "root_good", "_posof")
@@ -327,102 +130,10 @@ class TreeWorkspace:
             self._posof = posof
         return self._posof
 
-    def subset_cols(self, cols: np.ndarray) -> TreeWorkspace:
-        sub = object.__new__(TreeWorkspace)
-        sub.xt = self.xt[cols]
-        sub.order = self.order[cols]
-        sub.sv = self.sv[cols]
-        sub.root_good = self.root_good[cols]
-        sub._posof = self._posof[cols] if self._posof is not None else None
-        return sub
-
-
-class HistogramBinner:
-    """Per-fit quantile-bin index cache for ``tree_method="hist"``.
-
-    Each feature gets at most ``max_bin`` buckets.  When a feature has few
-    distinct values the bucket boundaries are the midpoints between
-    consecutive unique values — in that regime the histogram search is
-    exactly the exact greedy search.  Otherwise boundaries are quantile cut
-    points of the training distribution.  The binned index matrix is
-    computed once and shared by every boosting round (the GBM fits dozens
-    of trees on the same ``X``), which is the main point of the cache.
-    """
-
-    __slots__ = ("binned", "edges", "n_edges", "max_bin", "n_features", "_flat_base", "_cand")
-
-    def __init__(self, X: np.ndarray, max_bin: int = 256) -> None:
-        if max_bin < 2:
-            raise ValueError("max_bin must be >= 2")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n, f = X.shape
-        self.max_bin = int(max_bin)
-        self.n_features = f
-        edge_list: list[np.ndarray] = []
-        for j in range(f):
-            col = X[:, j]
-            uniq = np.unique(col)
-            if uniq.size <= 1:
-                edges = np.empty(0, dtype=float)
-            elif uniq.size <= max_bin:
-                edges = 0.5 * (uniq[:-1] + uniq[1:])
-            else:
-                qs = np.quantile(col, np.linspace(0.0, 1.0, max_bin + 1)[1:-1])
-                edges = np.unique(qs)
-            edge_list.append(edges)
-        self.n_edges = np.array([e.size for e in edge_list], dtype=np.int64)
-        width = max(int(self.n_edges.max(initial=0)), 1)
-        self.edges = np.full((f, width), np.inf)
-        binned = np.empty((n, f), dtype=np.int32)
-        for j, edges in enumerate(edge_list):
-            self.edges[j, : edges.size] = edges
-            # bin b holds values <= edges[b]; the last bin holds the rest.
-            binned[:, j] = np.searchsorted(edges, X[:, j], side="left")
-        self.binned = binned
-        self._flat_base: np.ndarray | None = None
-        self._cand: np.ndarray | None = None
-
-    def flat_base(self) -> np.ndarray:
-        """``binned`` offset per feature — composite-key base for the
-        level-wise flattened histogram ``bincount``."""
-        if self._flat_base is None:
-            width = self.edges.shape[1] + 1
-            offsets = (np.arange(self.n_features, dtype=np.int64) * width)[None, :]
-            self._flat_base = self.binned + offsets
-        return self._flat_base
-
-    def cand_mask(self) -> np.ndarray:
-        """(f, width-1) mask of real bin boundaries (edges vary per feature)."""
-        if self._cand is None:
-            width = self.edges.shape[1] + 1
-            self._cand = np.arange(width - 1)[None, :] < self.n_edges[:, None]
-        return self._cand
-
-    def subset(self, rows: np.ndarray | None, cols: np.ndarray | None) -> HistogramBinner:
-        """A view of the cache restricted to a row/column subsample."""
-        sub = object.__new__(HistogramBinner)
-        binned = self.binned
-        edges = self.edges
-        n_edges = self.n_edges
-        if cols is not None:
-            binned = binned[:, cols]
-            edges = edges[cols]
-            n_edges = n_edges[cols]
-        if rows is not None:
-            binned = binned[rows]
-        sub.binned = binned
-        sub.edges = edges
-        sub.n_edges = n_edges
-        sub.max_bin = self.max_bin
-        sub.n_features = binned.shape[1]
-        sub._flat_base = None
-        sub._cand = None
-        return sub
-
 
 @dataclass
 class _SplitSearchConfig:
-    """Hyper-parameters plus per-fit caches for the level-wise growers.
+    """Hyper-parameters plus per-fit caches for the level-wise grower.
 
     Frontier shapes (segment-size signatures) repeat endlessly across
     boosting rounds, so the candidate windows / denominators / column grids
@@ -432,204 +143,11 @@ class _SplitSearchConfig:
     """
 
     max_depth: int
-    min_samples_split: int
     min_child_weight: float
     reg_lambda: float
     gamma: float
-    unit_hess: bool = False
-    hist_dtype: str = "float64"
     shape_cache: dict = field(default_factory=dict)
     struct_cache: dict = field(default_factory=dict)
-
-
-class RegressionTree:
-    """Single regression tree on (gradient, hessian) statistics.
-
-    Parameters mirror the XGBoost naming so :class:`~repro.ml.gbm.
-    GradientBoostingRegressor` can forward its hyper-parameters directly.
-
-    Parameters
-    ----------
-    max_depth:
-        Maximum tree depth; depth 0 is a single leaf.
-    min_samples_split:
-        Do not split nodes with fewer samples than this.
-    min_child_weight:
-        Minimum hessian sum (= sample count for squared loss) per child.
-    reg_lambda:
-        L2 penalty on leaf weights.
-    gamma:
-        Minimum gain required to make a split.
-    tree_method:
-        ``"exact"`` scans every distinct threshold; ``"hist"`` scans at
-        most ``max_bin`` quantile-bin boundaries per feature.
-    max_bin:
-        Bucket budget per feature for ``tree_method="hist"``.
-    hist_dtype:
-        ``"float64"`` (default) or ``"float32"`` — precision of the
-        histogram score pipeline (``"hist"`` only; the fitted tree is
-        always float64).
-    """
-
-    def __init__(
-        self,
-        max_depth: int = 3,
-        min_samples_split: int = 2,
-        min_child_weight: float = 1.0,
-        reg_lambda: float = 1.0,
-        gamma: float = 0.0,
-        tree_method: str = "exact",
-        max_bin: int = 256,
-        hist_dtype: str = "float64",
-    ) -> None:
-        if max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if tree_method not in _TREE_METHODS:
-            raise ValueError(
-                f"tree_method must be one of {_TREE_METHODS}, got {tree_method!r}"
-            )
-        if max_bin < 2:
-            raise ValueError("max_bin must be >= 2")
-        if hist_dtype not in _HIST_DTYPES:
-            raise ValueError(
-                f"hist_dtype must be one of {_HIST_DTYPES}, got {hist_dtype!r}"
-            )
-        self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
-        self.min_child_weight = float(min_child_weight)
-        self.reg_lambda = float(reg_lambda)
-        self.gamma = float(gamma)
-        self.tree_method = tree_method
-        self.max_bin = int(max_bin)
-        self.hist_dtype = hist_dtype
-        self._root: TreeNode | None = None
-        self.flat_: FlatTree | None = None
-        self.n_features_: int = 0
-
-    @property
-    def root_(self) -> TreeNode | None:
-        """The introspectable node graph (materialized lazily from the
-        flattened arrays; ``None`` when unfitted)."""
-        if self._root is None and self.flat_ is not None:
-            self._root = self.flat_.to_node()
-        return self._root
-
-    @root_.setter
-    def root_(self, node: TreeNode | None) -> None:
-        self._root = node
-
-    # ------------------------------------------------------------------
-    def fit(self, X, y) -> RegressionTree:
-        """Fit as a plain regression tree (single boosting round from 0)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y disagree on the number of samples")
-        grad = -y  # residual of a zero prediction under squared loss
-        hess = np.ones_like(y)
-        return self.fit_gradients(X, grad, hess)
-
-    def fit_gradients(
-        self,
-        X,
-        grad,
-        hess,
-        binner: HistogramBinner | None = None,
-        workspace: TreeWorkspace | None = None,
-        train_pred: np.ndarray | None = None,
-    ) -> RegressionTree:
-        """Fit on explicit first/second-order statistics (boosting path).
-
-        ``binner``/``workspace`` supply precomputed per-``X`` caches (a
-        boosting loop shares one across rounds); when omitted they are
-        built on demand.  ``train_pred``, when given, is filled in place
-        with the tree's predictions on the training rows — a free
-        by-product of the leaf partition that saves the boosting loop a
-        full ``predict`` pass.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        grad = np.asarray(grad, dtype=float).ravel()
-        hess = np.asarray(hess, dtype=float).ravel()
-        if not (X.shape[0] == grad.shape[0] == hess.shape[0]):
-            raise ValueError("X, grad, hess disagree on the number of samples")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit a tree on zero samples")
-        cfg = _SplitSearchConfig(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_child_weight=self.min_child_weight,
-            reg_lambda=self.reg_lambda,
-            gamma=self.gamma,
-            unit_hess=bool(np.all(hess == 1.0)),
-            hist_dtype=self.hist_dtype,
-        )
-        if self.tree_method == "hist":
-            if binner is None:
-                binner = HistogramBinner(X, self.max_bin)
-            elif binner.n_features != X.shape[1]:
-                raise ValueError("binner does not match the feature count of X")
-        else:
-            binner = None
-        return self._fit_core(X, grad, hess, cfg, binner, workspace, train_pred)
-
-    def _fit_core(
-        self,
-        X: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        cfg: _SplitSearchConfig,
-        binner: HistogramBinner | None,
-        workspace: TreeWorkspace | None,
-        train_pred: np.ndarray | None,
-    ) -> RegressionTree:
-        """Validation-free fit used by the boosting loop (caches prebuilt)."""
-        self.n_features_ = X.shape[1]
-        if binner is not None:
-            parts = _grow_hist(binner, grad, hess, cfg, train_pred)
-        else:
-            if workspace is None:
-                workspace = TreeWorkspace(X)
-            parts = _grow_exact(workspace, grad, hess, cfg, train_pred)
-        self.flat_ = FlatTree._from_parts(*parts)
-        self._root = None
-        return self
-
-    def ensure_flat(self) -> FlatTree:
-        """The struct-of-arrays form of the fitted tree."""
-        if self.flat_ is None:
-            if self._root is None:
-                raise RuntimeError("tree is not fitted")
-            self.flat_ = FlatTree.from_node(self._root)
-        return self.flat_
-
-    # ------------------------------------------------------------------
-    def predict(self, X) -> np.ndarray:
-        if self.flat_ is None and self._root is None:
-            raise RuntimeError("RegressionTree.predict called before fit")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"X has {X.shape[1]} features, tree expects {self.n_features_}"
-            )
-        return self.ensure_flat().predict(X)
-
-    @property
-    def depth_(self) -> int:
-        """Depth of the fitted tree (0 for a stump leaf)."""
-        if self.flat_ is not None:
-            return self.flat_.depth
-        if self._root is None:
-            raise RuntimeError("tree is not fitted")
-        return _max_depth(self._root)
-
-
-def _max_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    assert node.left is not None and node.right is not None
-    return 1 + max(_max_depth(node.left), _max_depth(node.right))
 
 
 class _LevelShapes:
@@ -637,7 +155,7 @@ class _LevelShapes:
 
     Everything here is a function of the segment sizes and the fit
     hyper-parameters alone — candidate windows from ``min_child_weight``,
-    unit-hessian denominators, the padded column grid — so one instance
+    the regularized denominators, the padded column grid — so one instance
     serves every boosting round whose frontier has this shape.
     """
 
@@ -646,9 +164,7 @@ class _LevelShapes:
         "neg_vden",
         "starts_l",
         "m",
-        "elig_l",
         "E",
-        "ne",
         "W",
         "C",
         "root_like",
@@ -664,15 +180,14 @@ class _LevelShapes:
         K = len(sizes)
         lam = cfg.reg_lambda
         self.np_sizes = np.array(sizes, dtype=np.int64)
-        self.neg_vden = -(self.np_sizes + lam) if cfg.unit_hess else None
+        self.neg_vden = -(self.np_sizes + lam)
         starts = [0] * K
         for k in range(1, K):
             starts[k] = starts[k - 1] + sizes[k - 1]
         self.starts_l = starts
         self.m = starts[-1] + sizes[-1]
-        mss = cfg.min_samples_split
-        elig = [k for k in range(K) if sizes[k] >= mss]
-        self.elig_l = elig
+        # A node of one row cannot split.
+        elig = [k for k in range(K) if sizes[k] >= 2]
         self.dead = not elig
         self.E = None if len(elig) == K else np.array(elig, dtype=np.int64)
         self.colgrid = None
@@ -682,12 +197,10 @@ class _LevelShapes:
         self.hpl = None
         self.root_like = False
         if self.dead:
-            self.ne = None
             self.W = 0
             self.C = 0
             return
         ne = np.array([sizes[k] for k in elig], dtype=np.int64)
-        self.ne = ne
         W = int(ne.max())
         self.W = W
         C = W - 1
@@ -697,16 +210,11 @@ class _LevelShapes:
         self.root_like = K == 1 and sizes[0] == self.m
         mcw = cfg.min_child_weight
         # Candidate positions j split after sorted index j (left size j+1).
+        # Hessian == sample count: min_child_weight is a position bound.
         j = _arange(C)
-        if cfg.unit_hess:
-            # Hessian == sample count: min_child_weight is a position bound.
-            lo = max(math.ceil(mcw) - 1, 0)
-            hi = np.minimum(np.floor(ne - 1 - mcw).astype(np.int64) + 1, ne - 1)
-            window = (j >= lo) & (j[None, :] < hi[:, None])
-        else:
-            # General hessians: the weight bound is data-dependent and is
-            # applied against the cumulative hessian in the search itself.
-            window = j[None, :] < (ne - 1)[:, None]
+        lo = max(math.ceil(mcw) - 1, 0)
+        hi = np.minimum(np.floor(ne - 1 - mcw).astype(np.int64) + 1, ne - 1)
+        window = (j >= lo) & (j[None, :] < hi[:, None])
         self.window = window
         if not window.any():
             self.dead = True
@@ -714,21 +222,19 @@ class _LevelShapes:
         if not self.root_like:
             se = np.array([starts[k] for k in elig], dtype=np.int64)
             self.colgrid = np.minimum(se[:, None] + _arange(W), self.m - 1)
-        if cfg.unit_hess:
-            hl = np.arange(1.0, W)
-            self.den_l = hl + lam
-            # Out-of-window denominators are never read through a valid
-            # candidate, but keep them positive so the division never warns.
-            self.den_r = np.where(window, (ne[:, None] - hl) + lam, 1.0)
-            self.hpl = ne + lam
+        hl = np.arange(1.0, W)
+        self.den_l = hl + lam
+        # Out-of-window denominators are never read through a valid
+        # candidate, but keep them positive so the division never warns.
+        self.den_r = np.where(window, (ne[:, None] - hl) + lam, 1.0)
+        self.hpl = ne + lam
 
 
 def _grow_exact(
     ws: TreeWorkspace,
     grad: np.ndarray,
-    hess: np.ndarray,
     cfg: _SplitSearchConfig,
-    train_pred: np.ndarray | None,
+    train_pred: np.ndarray,
 ):
     """Level-wise exact growth: one batched split search per depth level.
 
@@ -738,21 +244,22 @@ def _grow_exact(
     (the padded gather), keeping candidate scores bitwise-identical to a
     per-node scan, and the fused argmax resolves ties to the lowest
     (feature, position) pair exactly like the scalar reference.
+
+    ``train_pred`` is filled in place with the tree's value for every
+    training row (a free by-product of the leaf partition).  Returns the
+    tree's ``(feature, threshold, left, right, value, n_samples, depth)``
+    in the ensemble's node form (see the module docstring).
     """
     xt = ws.xt
     f = xt.shape[0]
-    unit = cfg.unit_hess
-    lam = cfg.reg_lambda
-    mcw = cfg.min_child_weight
     shape_cache = cfg.shape_cache
 
     part = ws.order
     sizes: tuple = (xt.shape[1],)
-    # Sequential (cumsum) root sums: child sums chain off per-candidate
-    # cumulative values, so this keeps every G/H bitwise identical to the
+    # Sequential (cumsum) root sum: child sums chain off per-candidate
+    # cumulative values, so this keeps every G bitwise identical to the
     # compiled kernel's accumulation order.
     g_node = np.cumsum(grad)[-1:]
-    h_node = None if unit else np.cumsum(hess)[-1:]
     levels: list[tuple] = []
     sig: list[tuple] = []
     depth = 0
@@ -763,16 +270,12 @@ def _grow_exact(
         if sh is None:
             sh = _LevelShapes(sizes, cfg)
             shape_cache[sizes] = sh
-        if unit:
-            value = g_node / sh.neg_vden
-        else:
-            value = g_node / -(h_node + lam)
+        value = g_node / sh.neg_vden
 
         if depth >= cfg.max_depth or sh.dead:
             levels.append((value, sh.np_sizes, None, None, None))
             sig.append((sizes, ()))
-            if train_pred is not None:
-                _fill_exact_leaves(train_pred, part, sh, sizes, value, None)
+            _fill_exact_leaves(train_pred, part, sh, sizes, value, None)
             break
 
         # -- batched split search over every eligible frontier node -----
@@ -796,23 +299,8 @@ def _grow_exact(
         glc = np.cumsum(g, axis=2)[:, :, :C]
         gE = g_node if E is None else g_node[E]
         gr = gE[None, :, None] - glc
-        if unit:
-            score = glc * glc / sh.den_l + gr * gr / sh.den_r
-            scm = np.where(good & sh.window, score, -np.inf)
-        else:
-            hE = h_node if E is None else h_node[E]
-            h = hess[ridx] if not sh.root_like else hess[part].reshape(f, 1, -1)
-            hlc = np.cumsum(h, axis=2)[:, :, :C]
-            hr = hE[None, :, None] - hlc
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = glc * glc / (hlc + lam) + gr * gr / (hr + lam)
-            ok = (
-                (good & sh.window)
-                & (hlc >= mcw)
-                & (hr >= mcw)
-                & ~np.isnan(score)
-            )
-            scm = np.where(ok, score, -np.inf)
+        score = glc * glc / sh.den_l + gr * gr / sh.den_r
+        scm = np.where(good & sh.window, score, -np.inf)
 
         # Feature-major flatten per node: ties resolve to the lowest
         # (feature, position) pair — the historical scalar scan order.
@@ -822,15 +310,13 @@ def _grow_exact(
         best_sc = sct[_arange(Ke), best]
         bf = best // C
         bp = best - bf * C
-        hpl = sh.hpl if unit else hE + lam
-        gain = 0.5 * (best_sc - gE * gE / hpl) - cfg.gamma
+        gain = 0.5 * (best_sc - gE * gE / sh.hpl) - cfg.gamma
         ai = np.nonzero(gain > _GAIN_EPS)[0]
         A = ai.size
         if A == 0:
             levels.append((value, sh.np_sizes, None, None, None))
             sig.append((sizes, ()))
-            if train_pred is not None:
-                _fill_exact_leaves(train_pred, part, sh, sizes, value, None)
+            _fill_exact_leaves(train_pred, part, sh, sizes, value, None)
             break
 
         acc_nodes = ai if E is None else E[ai]
@@ -845,7 +331,7 @@ def _grow_exact(
         acc_t = tuple(acc_nodes.tolist())
         levels.append((value, sh.np_sizes, acc_nodes, bfa, thr))
         sig.append((sizes, acc_t))
-        if train_pred is not None and A < len(sizes):
+        if A < len(sizes):
             _fill_exact_leaves(train_pred, part, sh, sizes, value, set(acc_t))
 
         # -- stable partition of accepted segments (no re-sort: a child's
@@ -877,12 +363,6 @@ def _grow_exact(
         g2 = np.empty(2 * A)
         g2[0::2] = gla
         g2[1::2] = g_node[acc_nodes] - gla
-        if not unit:
-            hla = hlc[bfa, ai, bpa]
-            h2 = np.empty(2 * A)
-            h2[0::2] = hla
-            h2[1::2] = h_node[acc_nodes] - hla
-            h_node = h2
         part = npart
         sizes = tuple(new_sizes)
         g_node = g2
@@ -909,7 +389,7 @@ def _fill_exact_leaves(
 
 
 def _assemble(levels: list[tuple], sig: list[tuple], cfg: _SplitSearchConfig):
-    """Scatter per-level (BFS) records into preorder struct-of-arrays.
+    """Scatter per-level (BFS) records into preorder node arrays.
 
     The preorder permutation, child links and sample counts are functions
     of the structure signature alone, which repeats across boosting rounds
@@ -928,8 +408,9 @@ def _assemble(levels: list[tuple], sig: list[tuple], cfg: _SplitSearchConfig):
     else:
         value = np.empty(total)
         value[perm] = np.concatenate([lv[0] for lv in levels])
-    feature = np.full(total, -1, dtype=np.int32)
-    threshold = np.zeros(total)
+    # Leaves route through column 0 and always go left (onto themselves).
+    feature = np.zeros(total, dtype=np.int32)
+    threshold = np.full(total, np.inf)
     if pacc is not None:
         feats = [lv[3] for lv in levels if lv[2] is not None]
         thrs = [lv[4] for lv in levels if lv[2] is not None]
@@ -965,8 +446,9 @@ def _build_struct_template(levels: list[tuple], sig: list[tuple]):
         nxt[0::2] = lp
         nxt[1::2] = lp + sub[d + 1][0::2]
         pos[d + 1] = nxt
-    left = np.full(total, -1, dtype=np.int32)
-    right = np.full(total, -1, dtype=np.int32)
+    # Every node starts as a leaf self-loop; splits overwrite their links.
+    left = np.arange(total, dtype=np.int32)
+    right = np.arange(total, dtype=np.int32)
     nsamp = np.empty(total, dtype=np.int64)
     pacc_parts = []
     for d in range(L):
@@ -982,181 +464,3 @@ def _build_struct_template(levels: list[tuple], sig: list[tuple]):
     perm = pos[0] if L == 1 else np.concatenate(pos)
     pacc = np.concatenate(pacc_parts) if pacc_parts else None
     return total, L - 1, perm, pacc, left, right, nsamp
-
-
-def _grow_hist(
-    binner: HistogramBinner,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    cfg: _SplitSearchConfig,
-    train_pred: np.ndarray | None,
-):
-    """Level-wise histogram growth over precomputed quantile bins.
-
-    Every frontier node's gradient/count histograms come from one flattened
-    ``bincount`` over a composite (node, feature, bin) key; candidate
-    boundaries are bin upper edges.  With ``hist_dtype="float32"`` the
-    cumulative/score pipeline runs in single precision (the fitted tree and
-    node statistics stay float64).
-    """
-    binned = binner.binned
-    n, f = binned.shape
-    width = binner.edges.shape[1] + 1
-    fw = f * width
-    unit = cfg.unit_hess
-    lam = cfg.reg_lambda
-    mcw = cfg.min_child_weight
-    mss = cfg.min_samples_split
-    f32 = cfg.hist_dtype == "float32"
-    flat_base = binner.flat_base()
-    cand = binner.cand_mask()
-
-    rows: np.ndarray | None = None  # None = all rows, all in node 0
-    lbl: np.ndarray | None = None
-    sizes: tuple = (n,)
-    g_node = np.array([grad.sum()])
-    h_node = None if unit else np.array([hess.sum()])
-    levels: list[tuple] = []
-    sig: list[tuple] = []
-    depth = 0
-
-    while True:
-        K = len(sizes)
-        np_sizes = np.array(sizes, dtype=np.int64)
-        if unit:
-            value = g_node / -(np_sizes + lam)
-        else:
-            value = g_node / -(h_node + lam)
-        elig = np_sizes >= mss
-        if depth >= cfg.max_depth or not elig.any():
-            levels.append((value, np_sizes, None, None, None))
-            sig.append((sizes, ()))
-            if train_pred is not None:
-                if rows is None:
-                    train_pred[:] = value[0]
-                else:
-                    train_pred[rows] = value[lbl]
-            break
-
-        # -- one flattened bincount builds every node's histograms -------
-        if rows is None:
-            comp = flat_base.ravel()
-            gw = np.repeat(grad, f)
-            hw = None if unit else np.repeat(hess, f)
-        else:
-            comp = (flat_base[rows] + (lbl.astype(np.int64) * fw)[:, None]).ravel()
-            gw = np.repeat(grad[rows], f)
-            hw = None if unit else np.repeat(hess[rows], f)
-        ghist = np.bincount(comp, weights=gw, minlength=K * fw).reshape(K, f, width)
-        chist = np.bincount(comp, minlength=K * fw).reshape(K, f, width)
-        glc = np.cumsum(ghist, axis=2)[:, :, : width - 1]
-        nl = np.cumsum(chist, axis=2)[:, :, : width - 1]
-        if unit:
-            hlc = nl  # hessian == sample count; arithmetic upcasts exactly
-            hsum = np_sizes
-        else:
-            hhist = np.bincount(comp, weights=hw, minlength=K * fw).reshape(K, f, width)
-            hlc = np.cumsum(hhist, axis=2)[:, :, : width - 1]
-            hsum = h_node
-        if f32:
-            gl_s = glc.astype(np.float32)
-            hl_s = hlc.astype(np.float32)
-            gr_s = g_node.astype(np.float32)[:, None, None] - gl_s
-            hr_s = hsum.astype(np.float32)[:, None, None] - hl_s
-            lam_s = np.float32(lam)
-        else:
-            gl_s, hl_s = glc, hlc
-            gr_s = g_node[:, None, None] - glc
-            hr_s = hsum[:, None, None] - hlc
-            lam_s = lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = gl_s * gl_s / (hl_s + lam_s) + gr_s * gr_s / (hr_s + lam_s)
-        if unit:
-            # Counts double as hessians: both the never-empty-children rule
-            # and min_child_weight collapse into one count window per node.
-            lo = max(1, math.ceil(mcw))
-            hi = (np_sizes - lo)[:, None, None]
-            valid = cand[None] & (nl >= lo) & (nl <= hi)
-        else:
-            valid = (
-                cand[None]
-                & (nl >= 1)  # a node may occupy few bins: never empty children
-                & (nl <= (np_sizes - 1)[:, None, None])
-                & (hlc >= mcw)
-                & ((hsum[:, None, None] - hlc) >= mcw)
-                & ~np.isnan(score)
-            )
-        scm = np.where(valid, score, -np.inf)
-        sct = scm.reshape(K, f * (width - 1))  # C-order: feature-major ties
-        best = sct.argmax(axis=1)
-        best_sc = sct[_arange(K), best].astype(float)
-        bf = best // (width - 1)
-        bp = best - bf * (width - 1)
-        gain = 0.5 * (best_sc - g_node * g_node / (hsum + lam)) - cfg.gamma
-        ai = np.nonzero((gain > _GAIN_EPS) & elig)[0]
-        A = ai.size
-        if A == 0:
-            levels.append((value, np_sizes, None, None, None))
-            sig.append((sizes, ()))
-            if train_pred is not None:
-                if rows is None:
-                    train_pred[:] = value[0]
-                else:
-                    train_pred[rows] = value[lbl]
-            break
-
-        bfa = bf[ai]
-        bpa = bp[ai]
-        thr = binner.edges[bfa, bpa]
-        n_left = nl[ai, bfa, bpa]
-        if f32:
-            # Node statistics stay float64: re-reduce the winners' prefix
-            # bins from the double-precision histograms (A is small).
-            gla = np.array(
-                [ghist[k, bfa[a], : bpa[a] + 1].sum() for a, k in enumerate(ai)]
-            )
-        else:
-            gla = glc[ai, bfa, bpa]
-        acc_t = tuple(ai.tolist())
-        levels.append((value, np_sizes, ai, bfa.astype(np.int64), thr))
-        sig.append((sizes, acc_t))
-
-        # -- reassign rows to children / settle leaves -------------------
-        if rows is None:
-            rows = np.arange(n)
-            lbl = np.zeros(n, dtype=np.int64)
-        bf_full = np.full(K, -1, dtype=np.int64)
-        bf_full[ai] = bfa
-        bp_full = np.zeros(K, dtype=np.int64)
-        bp_full[ai] = bpa
-        childbase = np.zeros(K, dtype=np.int64)
-        childbase[ai] = 2 * np.arange(A)
-        rbf = bf_full[lbl]
-        act = rbf >= 0
-        if train_pred is not None and A < K:
-            leaf_rows = rows[~act]
-            train_pred[leaf_rows] = value[lbl[~act]]
-        rows = rows[act]
-        lsub = lbl[act]
-        go_right = binned[rows, rbf[act]] > bp_full[lsub]
-        lbl = childbase[lsub] + go_right
-        new_sizes = []
-        for a in range(A):
-            k = int(ai[a])
-            nlk = int(n_left[a])
-            new_sizes.append(nlk)
-            new_sizes.append(sizes[k] - nlk)
-        g2 = np.empty(2 * A)
-        g2[0::2] = gla
-        g2[1::2] = g_node[ai] - gla
-        g_node = g2
-        if not unit:
-            hla = hlc[ai, bfa, bpa]
-            h2 = np.empty(2 * A)
-            h2[0::2] = hla
-            h2[1::2] = h_node[ai] - hla
-            h_node = h2
-        sizes = tuple(new_sizes)
-        depth += 1
-
-    return _assemble(levels, sig, cfg)

@@ -10,7 +10,6 @@ import repro.api as api
 from repro.arch.config import config_by_name
 from repro.arch.workloads import workload_by_name
 from repro.core.autopower import AutoPower
-from repro.core.persistence import load_autopower, save_autopower
 
 ALL_METHODS = (
     "autopower",
@@ -182,15 +181,14 @@ class TestLegacyV1Compat:
         self, autopower2, flow, eval_cells, tmp_path
     ):
         # A format-v1 file written before the repro.api redesign must
-        # still load — through both load_autopower and load_model — and
-        # re-serializing it must produce the same v2 file (and therefore
-        # byte-identical predictions) as saving the original model.
+        # still load through load_model, and re-serializing it must produce
+        # the same v2 file (and therefore byte-identical predictions) as
+        # saving the original model.
         v1_path = tmp_path / "model_v1.json"
         _as_v1_file(autopower2, v1_path)
 
-        from_v1 = load_autopower(v1_path)
-        also_from_v1 = api.load_model(v1_path)
-        assert isinstance(also_from_v1, AutoPower)
+        from_v1 = api.load_model(v1_path)
+        assert isinstance(from_v1, AutoPower)
 
         v2_direct = tmp_path / "direct_v2.json"
         v2_upgraded = tmp_path / "upgraded_v2.json"
@@ -203,19 +201,6 @@ class TestLegacyV1Compat:
             expected = autopower2.predict_total(config, events, w)
             assert from_v1.predict_total(config, events, w) == expected
             assert reloaded.predict_total(config, events, w) == expected
-
-    def test_save_autopower_shim_writes_v2(self, autopower2, tmp_path):
-        path = tmp_path / "ap.json"
-        save_autopower(autopower2, path)
-        assert json.loads(path.read_text())["format_version"] == 2
-        clone = load_autopower(path)
-        assert clone.train_config_names == autopower2.train_config_names
-
-    def test_load_autopower_shim_rejects_other_methods(self, fitted, tmp_path):
-        path = tmp_path / "mc.json"
-        api.save_model(fitted["mcpat-calib"], path)
-        with pytest.raises(ValueError, match="AutoPower"):
-            load_autopower(path)
 
 
 class TestPredictionService:

@@ -1,16 +1,13 @@
 """Equivalence suite for the vectorized tree engine.
 
 A deliberately naive scalar implementation (per-candidate Python loops,
-per-row tree traversal) serves as the reference; the vectorized /
-histogram engines must reproduce it:
+per-row tree traversal) serves as the reference; the engine must
+reproduce it:
 
-* exact mode — identical tree *structure* (feature, threshold, leaf
-  values) and per-row predictions on randomized datasets,
-* hist mode — identical structure when every feature has few distinct
-  values (bin edges degenerate to the exact midpoints), tolerance-bounded
-  training fit otherwise,
-* the flattened struct-of-arrays representation — lossless round-trip
-  through :mod:`repro.ml.serialize`, including the legacy nested format,
+* identical tree *structure* (feature, threshold, leaf values) of a
+  one-round GBM and per-row predictions on randomized datasets,
+* the fused ensemble — lossless round-trip through
+  :mod:`repro.ml.serialize`, including the legacy nested format,
 * the batched prediction path — bitwise-equal to scalar prediction.
 """
 
@@ -22,8 +19,7 @@ import pytest
 from repro.arch.events import EVENT_NAMES, EventBatch
 from repro.core.autopower import events_at_scale
 from repro.ml.gbm import GradientBoostingRegressor
-from repro.ml.serialize import gbm_from_dict, gbm_to_dict, tree_from_dict, tree_to_dict
-from repro.ml.tree import FlatTree, RegressionTree
+from repro.ml.serialize import gbm_from_dict, gbm_to_dict
 
 GAIN_EPS = 1e-12
 
@@ -99,15 +95,23 @@ def _reference_build(X, grad, hess, idx, depth, params):
     return node
 
 
+def _one_round(X, y, **kw):
+    """A GBM whose prediction is the target mean plus one tree."""
+    model = GradientBoostingRegressor(n_estimators=1, learning_rate=1.0, **kw)
+    return model.fit(X, y)
+
+
 def _reference_tree(X, y, **kw):
+    """The reference tree of a GBM's first round (residuals of the mean)."""
     params = {
         "max_depth": kw.get("max_depth", 3),
-        "min_samples_split": kw.get("min_samples_split", 2),
+        "min_samples_split": 2,
         "min_child_weight": kw.get("min_child_weight", 1.0),
         "reg_lambda": kw.get("reg_lambda", 1.0),
         "gamma": kw.get("gamma", 0.0),
     }
-    grad = -np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
+    grad = float(y.mean()) - y
     hess = np.ones_like(grad)
     return _reference_build(
         np.asarray(X, dtype=float), grad, hess, np.arange(len(y)), 0, params
@@ -120,17 +124,18 @@ def _reference_predict_row(node, row):
     return node["value"]
 
 
-def _assert_same_structure(ref: dict, node, rtol=1e-12):
-    assert node.value == pytest.approx(ref["value"], rel=rtol, abs=1e-12)
-    assert node.n_samples == ref["n_samples"]
+def _assert_same_structure(ref: dict, ens, i=0, rtol=1e-12):
+    """Compare the reference tree with the ensemble's tree rooted at ``i``."""
+    assert ens.value[i] == pytest.approx(ref["value"], rel=rtol, abs=1e-12)
+    assert ens.n_samples[i] == ref["n_samples"]
     if "feature" in ref:
-        assert not node.is_leaf, "engine made a leaf where reference split"
-        assert node.feature == ref["feature"]
-        assert node.threshold == pytest.approx(ref["threshold"], rel=rtol)
-        _assert_same_structure(ref["left"], node.left, rtol)
-        _assert_same_structure(ref["right"], node.right, rtol)
+        assert ens.left[i] != i, "engine made a leaf where reference split"
+        assert ens.feature[i] == ref["feature"]
+        assert ens.threshold[i] == pytest.approx(ref["threshold"], rel=rtol)
+        _assert_same_structure(ref["left"], ens, ens.left[i], rtol)
+        _assert_same_structure(ref["right"], ens, ens.right[i], rtol)
     else:
-        assert node.is_leaf, "engine split where reference made a leaf"
+        assert ens.left[i] == i, "engine split where reference made a leaf"
 
 
 def _datasets():
@@ -158,17 +163,19 @@ class TestExactEquivalence:
     def test_structure_matches_reference(self, case):
         X, y = _datasets()[case]
         kw = dict(max_depth=4, reg_lambda=0.7, min_child_weight=2.0, gamma=0.01)
-        tree = RegressionTree(tree_method="exact", **kw).fit(X, y)
+        model = _one_round(X, y, **kw)
         ref = _reference_tree(X, y, **kw)
-        _assert_same_structure(ref, tree.root_)
+        _assert_same_structure(ref, model._flat_ensemble())
 
     @pytest.mark.parametrize("case", range(8))
     def test_predictions_match_reference(self, case):
         X, y = _datasets()[case]
-        tree = RegressionTree(max_depth=5, reg_lambda=0.3).fit(X, y)
+        model = _one_round(X, y, max_depth=5, reg_lambda=0.3)
         ref = _reference_tree(X, y, max_depth=5, reg_lambda=0.3)
-        got = tree.predict(X)
-        want = np.array([_reference_predict_row(ref, row) for row in X])
+        got = model.predict(X)
+        want = model.base_score_ + np.array(
+            [_reference_predict_row(ref, row) for row in X]
+        )
         # Leaf G/H sums are read off cumulative arrays instead of being
         # re-reduced per node, so values agree to float associativity —
         # well inside the documented 1e-9 bound.
@@ -180,9 +187,9 @@ class TestExactEquivalence:
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         kw = dict(max_depth=3, min_child_weight=0.0, reg_lambda=0.5)
-        tree = RegressionTree(**kw).fit(X, y)
+        model = _one_round(X, y, **kw)
         ref = _reference_tree(X, y, **kw)
-        _assert_same_structure(ref, tree.root_)
+        _assert_same_structure(ref, model._flat_ensemble())
 
     def test_gbm_fused_predict_matches_per_row_traversal(self):
         rng = np.random.default_rng(3)
@@ -191,61 +198,18 @@ class TestExactEquivalence:
         model = GradientBoostingRegressor(n_estimators=60, learning_rate=0.1).fit(X, y)
         X_test = rng.uniform(-0.5, 1.5, size=(200, 6))
         got = model.predict(X_test)
-        # reference: sequential per-row, per-tree Python traversal
+        # reference: sequential per-row, per-tree Python traversal of the
+        # saved preorder node lists
         want = np.full(X_test.shape[0], model.base_score_)
-        for tree, cols in model.trees_:
-            for i, row in enumerate(X_test[:, cols]):
-                node = tree.root_
-                while not node.is_leaf:
-                    node = (
-                        node.left
-                        if row[node.feature] <= node.threshold
-                        else node.right
-                    )
-                want[i] += model.learning_rate * node.value
+        for entry in gbm_to_dict(model)["trees"]:
+            nodes = entry["tree"]["nodes"]
+            for i, row in enumerate(X_test[:, entry["columns"]]):
+                node = 0
+                while nodes["feature"][node] >= 0:
+                    go_left = row[nodes["feature"][node]] <= nodes["threshold"][node]
+                    node = nodes["left" if go_left else "right"][node]
+                want[i] += model.learning_rate * nodes["value"][node]
         assert np.allclose(got, want, rtol=1e-9, atol=0)
-
-
-class TestHistEquivalence:
-    def test_hist_matches_exact_on_few_distinct_values(self):
-        # With fewer distinct values than max_bin, the quantile edges are
-        # the exact-midpoint thresholds, so the trees must be identical.
-        rng = np.random.default_rng(11)
-        X = rng.integers(0, 12, size=(100, 4)).astype(float)
-        y = X[:, 0] * 2.0 - X[:, 1] + rng.normal(size=100)
-        exact = RegressionTree(max_depth=4, tree_method="exact").fit(X, y)
-        hist = RegressionTree(max_depth=4, tree_method="hist", max_bin=64).fit(X, y)
-        fe, fh = exact.ensure_flat(), hist.ensure_flat()
-        assert np.array_equal(fe.feature, fh.feature)
-        # Thresholds may use different representatives of the same gap
-        # (node-local midpoint vs global bin edge); the partitions must be
-        # identical, so node sizes and training predictions agree.
-        assert np.array_equal(fe.n_samples, fh.n_samples)
-        assert np.allclose(exact.predict(X), hist.predict(X), rtol=1e-9, atol=1e-12)
-
-    def test_hist_gbm_fits_continuous_data_within_tolerance(self):
-        rng = np.random.default_rng(5)
-        X = rng.uniform(0, 1, size=(400, 5))
-        y = 10 * np.sin(np.pi * X[:, 0] * X[:, 1]) + 5 * X[:, 2]
-        kw = dict(n_estimators=120, learning_rate=0.1, max_depth=4)
-        exact = GradientBoostingRegressor(tree_method="exact", **kw).fit(X, y)
-        hist = GradientBoostingRegressor(tree_method="hist", max_bin=64, **kw).fit(X, y)
-        rmse_exact = float(np.sqrt(np.mean((exact.predict(X) - y) ** 2)))
-        rmse_hist = float(np.sqrt(np.mean((hist.predict(X) - y) ** 2)))
-        assert rmse_hist < max(2.0 * rmse_exact, 0.15 * float(np.std(y)))
-
-    def test_hist_respects_min_child_weight(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(size=(30, 3))
-        y = rng.normal(size=30)
-        tree = RegressionTree(
-            max_depth=4, tree_method="hist", min_child_weight=8.0
-        ).fit(X, y)
-        flat = tree.ensure_flat()
-        internal = flat.feature >= 0
-        for i in np.nonzero(internal)[0]:
-            assert flat.n_samples[flat.left[i]] >= 8
-            assert flat.n_samples[flat.right[i]] >= 8
 
 
 class TestFlattenedRepresentation:
@@ -253,15 +217,18 @@ class TestFlattenedRepresentation:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(80, 4))
         y = np.sin(X[:, 0]) + X[:, 1] ** 2
-        tree = RegressionTree(max_depth=4).fit(X, y)
-        clone = tree_from_dict(tree_to_dict(tree))
-        a, b = tree.ensure_flat(), clone.ensure_flat()
-        for field in ("feature", "threshold", "left", "right", "value", "n_samples"):
+        model = GradientBoostingRegressor(n_estimators=20, max_depth=4).fit(X, y)
+        clone = gbm_from_dict(gbm_to_dict(model))
+        a, b = model._flat_ensemble(), clone._flat_ensemble()
+        for field in (
+            "feature", "threshold", "left", "right", "value", "n_samples", "roots",
+        ):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
-        assert np.array_equal(tree.predict(X), clone.predict(X))
+        assert a.depth == b.depth
+        assert np.array_equal(model.predict(X), clone.predict(X))
 
     def test_legacy_nested_format_still_loads(self):
-        legacy = {
+        legacy_tree = {
             "kind": "tree",
             "n_features": 1,
             "max_depth": 1,
@@ -275,34 +242,26 @@ class TestFlattenedRepresentation:
                 "right": {"value": 5.0, "n_samples": 10},
             },
         }
-        tree = tree_from_dict(legacy)
-        pred = tree.predict(np.array([[0.0], [20.0]]))
+        state = {
+            "kind": "gbm",
+            "learning_rate": 1.0,
+            "base_score": 0.0,
+            "n_features": 1,
+            "params": {
+                "n_estimators": 1,
+                "max_depth": 1,
+                "reg_lambda": 0.0,
+                "min_child_weight": 1.0,
+                "gamma": 0.0,
+                "subsample": 1.0,
+                "colsample_bytree": 1.0,
+                "random_state": 0,
+            },
+            "trees": [{"tree": legacy_tree, "columns": [0]}],
+        }
+        pred = gbm_from_dict(state).predict(np.array([[0.0], [20.0]]))
         assert pred[0] == pytest.approx(1.0)
         assert pred[1] == pytest.approx(5.0)
-
-    def test_flat_tree_node_graph_round_trip(self):
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=(50, 3))
-        y = rng.normal(size=50)
-        tree = RegressionTree(max_depth=3).fit(X, y)
-        rebuilt = FlatTree.from_node(tree.root_)
-        for field in ("feature", "threshold", "left", "right", "value", "n_samples"):
-            assert np.array_equal(
-                getattr(tree.ensure_flat(), field), getattr(rebuilt, field)
-            ), field
-
-    def test_hist_gbm_serializes_with_tree_method(self):
-        rng = np.random.default_rng(6)
-        X = rng.uniform(size=(50, 3))
-        y = rng.normal(size=50)
-        model = GradientBoostingRegressor(
-            n_estimators=10, tree_method="hist", max_bin=32
-        ).fit(X, y)
-        state = gbm_to_dict(model)
-        assert state["params"]["tree_method"] == "hist"
-        clone = gbm_from_dict(state)
-        assert clone.tree_method == "hist"
-        assert np.array_equal(model.predict(X), clone.predict(X))
 
 
 class TestBatchedPredictionEquivalence:

@@ -4,10 +4,10 @@ Complements ``tests/test_ml_engine_equivalence.py`` with the cases the
 level-wise rewrite is most likely to get wrong:
 
 * randomized *small-n* datasets (n in 2..12 — the few-shot regime), value
-  ties, constant features, and non-unit hessians, all pitted against a
-  deliberately naive per-node scalar reference,
+  ties and constant features, pitted against a deliberately naive
+  per-node scalar reference,
 * the compiled kernel against the pure-numpy engine (byte-identical
-  serialized models, identical predictions),
+  serialized models and ensembles, identical predictions),
 * serialization round-trips of level-wise-fitted models through the
   legacy nested format,
 * the no-per-node-argsort invariant via ``SORT_COUNTERS``.
@@ -20,8 +20,8 @@ import pytest
 
 from repro.ml._kernel import get_kernel
 from repro.ml.gbm import GradientBoostingRegressor
-from repro.ml.serialize import gbm_from_dict, gbm_to_dict, tree_from_dict
-from repro.ml.tree import SORT_COUNTERS, RegressionTree
+from repro.ml.serialize import gbm_from_dict, gbm_to_dict
+from repro.ml.tree import SORT_COUNTERS
 
 GAIN_EPS = 1e-12
 
@@ -90,17 +90,32 @@ def _reference_build(X, grad, hess, idx, depth, p, gsum=None, hsum=None):
     return node
 
 
-def _assert_structure(ref, node):
-    assert node.value == pytest.approx(ref["value"], rel=1e-12, abs=1e-12)
-    assert node.n_samples == ref["n"]
+def _assert_structure(ref, ens, i=0):
+    """Compare the reference tree with the ensemble's tree rooted at ``i``."""
+    assert ens.value[i] == pytest.approx(ref["value"], rel=1e-12, abs=1e-12)
+    assert ens.n_samples[i] == ref["n"]
     if "feature" in ref:
-        assert not node.is_leaf, "engine made a leaf where reference split"
-        assert node.feature == ref["feature"]
-        assert node.threshold == pytest.approx(ref["threshold"], rel=1e-12)
-        _assert_structure(ref["left"], node.left)
-        _assert_structure(ref["right"], node.right)
+        assert ens.left[i] != i, "engine made a leaf where reference split"
+        assert ens.feature[i] == ref["feature"]
+        assert ens.threshold[i] == pytest.approx(ref["threshold"], rel=1e-12)
+        _assert_structure(ref["left"], ens, ens.left[i])
+        _assert_structure(ref["right"], ens, ens.right[i])
     else:
-        assert node.is_leaf, "engine split where reference made a leaf"
+        assert ens.left[i] == i, "engine split where reference made a leaf"
+
+
+def _check_one_round(X, y, max_depth, mcw, lam, gamma=0.0):
+    """A one-round GBM's tree against the reference on the same gradients."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    model = GradientBoostingRegressor(
+        n_estimators=1, max_depth=max_depth, min_child_weight=mcw,
+        reg_lambda=lam, gamma=gamma,
+    ).fit(X, y)
+    grad = model.base_score_ - y  # the first round's squared-loss gradient
+    p = {"max_depth": max_depth, "mss": 2, "mcw": mcw, "lam": lam, "gamma": gamma}
+    ref = _reference_build(X, grad, np.ones_like(grad), np.arange(len(y)), 0, p)
+    _assert_structure(ref, model._flat_ensemble())
 
 
 def _small_cases():
@@ -130,56 +145,13 @@ class TestSmallNReference:
     @pytest.mark.parametrize("case", range(12))
     def test_exact_structure_small_n(self, case):
         X, y = _small_cases()[case]
-        kw = dict(max_depth=3, reg_lambda=0.4, min_child_weight=1.0)
-        tree = RegressionTree(**kw).fit(X, y)
-        p = {"max_depth": 3, "mss": 2, "mcw": 1.0, "lam": 0.4, "gamma": 0.0}
-        grad = -np.asarray(y, dtype=float)
-        hess = np.ones_like(grad)
-        ref = _reference_build(
-            np.asarray(X, dtype=float), grad, hess, np.arange(len(y)), 0, p
-        )
-        _assert_structure(ref, tree.root_)
-
-    @pytest.mark.parametrize("case", range(12))
-    def test_nonunit_hessians_match_reference(self, case):
-        X, y = _small_cases()[case]
-        rng = np.random.default_rng(100 + case)
-        hess = rng.uniform(0.5, 3.0, size=len(y))
-        grad = -np.asarray(y, dtype=float) * hess
-        kw = dict(max_depth=3, reg_lambda=0.7, min_child_weight=1.2, gamma=0.005)
-        tree = RegressionTree(**kw).fit_gradients(X, grad, hess)
-        p = {"max_depth": 3, "mss": 2, "mcw": 1.2, "lam": 0.7, "gamma": 0.005}
-        ref = _reference_build(
-            np.asarray(X, dtype=float), grad, hess, np.arange(len(y)), 0, p
-        )
-        _assert_structure(ref, tree.root_)
-
-    @pytest.mark.parametrize("case", range(12))
-    def test_hist_small_n_matches_exact(self, case):
-        # With n <= 12 distinct values per feature, quantile bin edges are
-        # the exact midpoints, so hist must induce the same partitions.
-        # Mathematically tied splits may resolve to a different feature
-        # (the two engines accumulate G in different orders), so compare
-        # the partition geometry and predictions, not feature ids.
-        X, y = _small_cases()[case]
-        exact = RegressionTree(max_depth=3, tree_method="exact").fit(X, y)
-        hist = RegressionTree(max_depth=3, tree_method="hist", max_bin=64).fit(X, y)
-        fe, fh = exact.ensure_flat(), hist.ensure_flat()
-        assert fe.n_nodes == fh.n_nodes
-        assert fe.depth == fh.depth
-        assert sorted(fe.n_samples.tolist()) == sorted(fh.n_samples.tolist())
-        assert np.allclose(exact.predict(X), hist.predict(X), rtol=1e-9, atol=1e-12)
+        _check_one_round(X, y, max_depth=3, mcw=1.0, lam=0.4)
 
     def test_fractional_min_child_weight(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
-        kw = dict(max_depth=4, min_child_weight=2.5, reg_lambda=0.2)
-        tree = RegressionTree(**kw).fit(X, y)
-        p = {"max_depth": 4, "mss": 2, "mcw": 2.5, "lam": 0.2, "gamma": 0.0}
-        grad = -y.astype(float)
-        ref = _reference_build(X, grad, np.ones(10), np.arange(10), 0, p)
-        _assert_structure(ref, tree.root_)
+        _check_one_round(X, y, max_depth=4, mcw=2.5, lam=0.2)
 
 
 class TestKernelParity:
@@ -216,81 +188,53 @@ class TestKernelParity:
         assert json.dumps(gbm_to_dict(a)) == json.dumps(gbm_to_dict(b))
         assert np.array_equal(a.predict(X), b.predict(X))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_early_stopping_parity(self, seed):
-        a, b, X = self._pair(
-            seed=seed,
-            n=20,
-            n_estimators=200,
-            learning_rate=0.3,
-            max_depth=2,
-            early_stopping_rounds=5,
-        )
-        assert a.n_trees_ == b.n_trees_
-        # Both paths accumulate the loss sequentially, so the whole loss
-        # trajectory — and thus every stopping decision — is bitwise equal.
-        assert a.train_losses_ == b.train_losses_
-
-    def test_early_stopping_zero_rounds_parity(self):
-        # Regression: 0 means stop-at-first-plateau (numpy semantics), not
-        # disabled — the kernel uses a negative sentinel for None instead.
-        a, b, _ = self._pair(
-            seed=7, n=10, f=2, n_estimators=400, early_stopping_rounds=0
-        )
-        assert a.n_trees_ == b.n_trees_ < 400
-        assert a.train_losses_ == b.train_losses_
-
     def test_deep_trees_and_mcw(self):
         a, b, X = self._pair(
             n=40, n_estimators=30, max_depth=6, min_child_weight=3.0, gamma=0.01
         )
         assert np.array_equal(a.predict(X), b.predict(X))
-        for (ta, _), (tb, _) in zip(a.trees_, b.trees_):
-            fa, fb = ta.ensure_flat(), tb.ensure_flat()
-            for field in ("feature", "threshold", "left", "right", "value", "n_samples"):
-                assert np.array_equal(getattr(fa, field), getattr(fb, field)), field
+        _assert_same_ensemble(a._flat_ensemble(), b._flat_ensemble())
 
     def test_kernel_ensemble_matches_lazy_assembly(self):
+        # The ensemble the loader assembles from saved node lists is the
+        # one the kernel emitted.
         a, _, X = self._pair(n_estimators=40, max_depth=3)
-        from repro.ml.gbm import _FlatEnsemble
+        loaded = gbm_from_dict(gbm_to_dict(a))
+        _assert_same_ensemble(loaded._flat_ensemble(), a._flat_ensemble())
 
-        lazy = _FlatEnsemble(a.trees_)
-        fast = a._flat_ensemble()
-        assert np.array_equal(lazy.feature, fast.feature)
-        assert np.array_equal(lazy.threshold, fast.threshold)
-        assert np.array_equal(lazy.left, fast.left)
-        assert np.array_equal(lazy.right, fast.right)
-        assert np.array_equal(lazy.value, fast.value)
-        assert np.array_equal(lazy.roots, fast.roots)
+
+def _assert_same_ensemble(a, b):
+    for field in (
+        "feature", "threshold", "left", "right", "value", "n_samples", "roots",
+    ):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.depth == b.depth
 
 
 class TestSerializationCompat:
     def test_levelwise_tree_loads_via_legacy_nested_format(self):
-        # A level-wise-fitted tree exported through the legacy nested
+        # Level-wise-fitted trees exported through the legacy nested
         # ``root`` schema must load into the same predictor.
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 4))
         y = np.sin(X[:, 0]) + rng.normal(scale=0.1, size=30)
-        tree = RegressionTree(max_depth=3).fit(X, y)
+        model = GradientBoostingRegressor(n_estimators=5, max_depth=3).fit(X, y)
+        state = gbm_to_dict(model)
 
-        def nest(node):
-            d = {"value": node.value, "n_samples": node.n_samples}
-            if not node.is_leaf:
-                d["feature"] = node.feature
-                d["threshold"] = node.threshold
-                d["left"] = nest(node.left)
-                d["right"] = nest(node.right)
+        def nest(nodes, i=0):
+            d = {"value": nodes["value"][i], "n_samples": nodes["n_samples"][i]}
+            if nodes["feature"][i] >= 0:
+                d["feature"] = nodes["feature"][i]
+                d["threshold"] = nodes["threshold"][i]
+                d["left"] = nest(nodes, nodes["left"][i])
+                d["right"] = nest(nodes, nodes["right"][i])
             return d
 
-        legacy = {
-            "kind": "tree",
-            "n_features": tree.n_features_,
-            "max_depth": tree.max_depth,
-            "reg_lambda": tree.reg_lambda,
-            "root": nest(tree.root_),
-        }
-        clone = tree_from_dict(legacy)
-        assert np.allclose(tree.predict(X), clone.predict(X), rtol=0, atol=1e-12)
+        for entry in state["trees"]:
+            entry["tree"]["root"] = nest(entry["tree"].pop("nodes"))
+        clone = gbm_from_dict(state)
+        assert np.array_equal(model.predict(X), clone.predict(X))
+        _assert_same_ensemble(model._flat_ensemble(), clone._flat_ensemble())
 
     def test_gbm_round_trip_after_kernel_or_numpy_fit(self):
         rng = np.random.default_rng(9)
@@ -299,49 +243,6 @@ class TestSerializationCompat:
         model = GradientBoostingRegressor(n_estimators=25, max_depth=3).fit(X, y)
         clone = gbm_from_dict(gbm_to_dict(model))
         assert np.array_equal(model.predict(X), clone.predict(X))
-
-    def test_hist_dtype_round_trips_only_when_nondefault(self):
-        rng = np.random.default_rng(10)
-        X = rng.uniform(size=(40, 4))
-        y = rng.normal(size=40)
-        m64 = GradientBoostingRegressor(n_estimators=5, tree_method="hist").fit(X, y)
-        assert "hist_dtype" not in gbm_to_dict(m64)["params"]  # wire unchanged
-        m32 = GradientBoostingRegressor(
-            n_estimators=5, tree_method="hist", hist_dtype="float32"
-        ).fit(X, y)
-        state = gbm_to_dict(m32)
-        assert state["params"]["hist_dtype"] == "float32"
-        clone = gbm_from_dict(state)
-        assert clone.hist_dtype == "float32"
-        assert np.array_equal(m32.predict(X), clone.predict(X))
-
-
-class TestHistFloat32:
-    def test_hist32_close_to_hist64(self):
-        rng = np.random.default_rng(2)
-        X = rng.uniform(size=(300, 6))
-        y = 10 * np.sin(np.pi * X[:, 0] * X[:, 1]) + 5 * X[:, 2]
-        kw = dict(n_estimators=60, max_depth=4, tree_method="hist", max_bin=64)
-        m64 = GradientBoostingRegressor(**kw).fit(X, y)
-        m32 = GradientBoostingRegressor(hist_dtype="float32", **kw).fit(X, y)
-        r64 = float(np.sqrt(np.mean((m64.predict(X) - y) ** 2)))
-        r32 = float(np.sqrt(np.mean((m32.predict(X) - y) ** 2)))
-        assert r32 < 1.5 * r64 + 1e-9
-
-    def test_hist32_deterministic(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(size=(80, 5))
-        y = rng.normal(size=80)
-        kw = dict(n_estimators=10, tree_method="hist", hist_dtype="float32")
-        a = GradientBoostingRegressor(**kw).fit(X, y)
-        b = GradientBoostingRegressor(**kw).fit(X, y)
-        assert np.array_equal(a.predict(X), b.predict(X))
-
-    def test_rejects_bad_dtype(self):
-        with pytest.raises(ValueError):
-            GradientBoostingRegressor(hist_dtype="float16")
-        with pytest.raises(ValueError):
-            RegressionTree(hist_dtype="half")
 
 
 class TestNoPerNodeSorts:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.baselines.autopower_minus import AutoPowerMinus
 from repro.core.autopower import AutoPower
-from repro.core.persistence import load_autopower, save_autopower
 from repro.vlsi.flow import VlsiFlow
 
 
@@ -50,8 +50,8 @@ class TestFitEquivalence:
         )
         serial_path = tmp_path / "serial.json"
         parallel_path = tmp_path / f"{backend}.json"
-        save_autopower(serial_model, serial_path)
-        save_autopower(parallel_model, parallel_path)
+        api.save_model(serial_model, serial_path)
+        api.save_model(parallel_model, parallel_path)
         assert serial_path.read_bytes() == parallel_path.read_bytes()
 
     def test_predictions_match_serial_fit(
@@ -72,8 +72,8 @@ class TestFitEquivalence:
             train_results, n_jobs=2, backend=backend
         )
         path = tmp_path / "round_trip.json"
-        save_autopower(parallel_model, path)
-        loaded = load_autopower(path, library=flow.library)
+        api.save_model(parallel_model, path)
+        loaded = api.load_model(path, library=flow.library)
         configs = test_configs[:2]
         expected = _predictions(serial_model, flow, configs, workloads)
         actual = _predictions(loaded, flow, configs, workloads)

@@ -1,12 +1,16 @@
-"""Tests for model serialization (repro.ml.serialize, repro.core.persistence)."""
+"""Tests for model serialization (repro.ml.serialize, repro.api persistence)."""
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.arch.config import config_by_name
 from repro.arch.workloads import workload_by_name
 from repro.core.autopower import AutoPower
-from repro.core.persistence import load_autopower, save_autopower
 from repro.library.stdcell import TechLibrary
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.linear import RidgeRegression
@@ -15,10 +19,14 @@ from repro.ml.serialize import (
     gbm_to_dict,
     ridge_from_dict,
     ridge_to_dict,
-    tree_from_dict,
-    tree_to_dict,
 )
-from repro.ml.tree import RegressionTree
+
+DATA = Path(__file__).parent / "data"
+
+# sha256 of saved models, pinned so any change to the saved bytes is a
+# deliberate, reviewed format change.
+AUTOPOWER2_SHA256 = "d9150ce48d9cc77dde6425b67f4acdc560ac7482c170d7f12e313fc6168ea1e0"
+SEEDED_GBM_SHA256 = "3bddb515f1b016a48283a79339de03b334ed7f394ed5176a0a48c22d1e1d8ad9"
 
 
 def _data(n=60, seed=0):
@@ -44,30 +52,18 @@ class TestRidgeRoundTrip:
             ridge_from_dict({"kind": "tree"})
 
 
-class TestTreeRoundTrip:
-    def test_predictions_identical(self):
-        X, y = _data()
-        tree = RegressionTree(max_depth=4).fit(X, y)
-        clone = tree_from_dict(tree_to_dict(tree))
-        assert np.array_equal(tree.predict(X), clone.predict(X))
-
-    def test_unfitted_rejected(self):
-        with pytest.raises(ValueError):
-            tree_to_dict(RegressionTree())
-
-
 class TestGbmRoundTrip:
     def test_predictions_identical(self):
         X, y = _data()
-        model = GradientBoostingRegressor(
-            n_estimators=30, colsample_bytree=0.7, subsample=0.8
-        ).fit(X, y)
+        model = GradientBoostingRegressor(n_estimators=30).fit(X, y)
         clone = gbm_from_dict(gbm_to_dict(model))
         assert np.array_equal(model.predict(X), clone.predict(X))
 
-    def test_json_serializable(self):
-        import json
+    def test_unfitted_rejected(self):
+        with pytest.raises(ValueError):
+            gbm_to_dict(GradientBoostingRegressor())
 
+    def test_json_serializable(self):
         X, y = _data(n=20)
         model = GradientBoostingRegressor(n_estimators=5).fit(X, y)
         text = json.dumps(gbm_to_dict(model))
@@ -78,8 +74,8 @@ class TestGbmRoundTrip:
 class TestAutoPowerRoundTrip:
     def test_save_load_identical_predictions(self, autopower2, flow, tmp_path):
         path = tmp_path / "autopower.json"
-        save_autopower(autopower2, path)
-        clone = load_autopower(path)
+        api.save_model(autopower2, path)
+        clone = api.load_model(path)
 
         for cname in ("C5", "C9"):
             config = config_by_name(cname)
@@ -92,8 +88,8 @@ class TestAutoPowerRoundTrip:
 
     def test_metadata_preserved(self, autopower2, tmp_path):
         path = tmp_path / "autopower.json"
-        save_autopower(autopower2, path)
-        clone = load_autopower(path)
+        api.save_model(autopower2, path)
+        clone = api.load_model(path)
         assert clone.train_config_names == autopower2.train_config_names
         assert clone.sram_model.c_constant_mw == pytest.approx(
             autopower2.sram_model.c_constant_mw
@@ -101,22 +97,124 @@ class TestAutoPowerRoundTrip:
 
     def test_unfitted_save_rejected(self, flow, tmp_path):
         with pytest.raises(ValueError):
-            save_autopower(AutoPower(library=flow.library), tmp_path / "x.json")
+            api.save_model(AutoPower(library=flow.library), tmp_path / "x.json")
 
     def test_library_mismatch_rejected(self, autopower2, tmp_path):
         path = tmp_path / "autopower.json"
-        save_autopower(autopower2, path)
+        api.save_model(autopower2, path)
         other = TechLibrary(name="synth28")
         with pytest.raises(ValueError, match="library"):
-            load_autopower(path, library=other)
+            api.load_model(path, library=other)
 
     def test_bad_version_rejected(self, autopower2, tmp_path):
-        import json
-
         path = tmp_path / "autopower.json"
-        save_autopower(autopower2, path)
+        api.save_model(autopower2, path)
         state = json.loads(path.read_text())
         state["format_version"] = 99
         path.write_text(json.dumps(state))
         with pytest.raises(ValueError, match="version"):
-            load_autopower(path)
+            api.load_model(path)
+
+
+def _seeded_gbm():
+    rng = np.random.default_rng(2024)
+    X = rng.uniform(0.0, 4.0, size=(24, 6))
+    y = 3.0 * X[:, 0] - X[:, 1] * X[:, 2] + rng.uniform(-0.5, 0.5, size=24)
+    return GradientBoostingRegressor(
+        n_estimators=40, learning_rate=0.1, max_depth=3, reg_lambda=0.5
+    ).fit(X, y)
+
+
+class TestSavedBytes:
+    """Saved models keep their exact bytes, and loading then saving again
+    writes the same bytes."""
+
+    def test_autopower_file_bytes_pinned(self, autopower2, tmp_path):
+        path = tmp_path / "autopower.json"
+        api.save_model(autopower2, path)
+        saved = path.read_bytes()
+        assert hashlib.sha256(saved).hexdigest() == AUTOPOWER2_SHA256
+        again = tmp_path / "again.json"
+        api.save_model(api.load_model(path), again)
+        assert again.read_bytes() == saved
+
+    def test_gbm_state_bytes_pinned(self):
+        text = json.dumps(gbm_to_dict(_seeded_gbm()))
+        assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_GBM_SHA256
+        assert json.dumps(gbm_to_dict(gbm_from_dict(json.loads(text)))) == text
+
+
+class TestLegacyFiles:
+    """GBMs an earlier release saved with column/row subsampling or
+    histogram split search (``tests/data/legacy_gbm.json``: the states and
+    their predictions, written by that release) load and predict the
+    same."""
+
+    @pytest.mark.parametrize("kind", ["colsample", "hist"])
+    def test_loads_and_predicts_the_same(self, kind):
+        legacy = json.loads((DATA / "legacy_gbm.json").read_text())
+        model = gbm_from_dict(legacy[kind]["model"])
+        got = model.predict(np.array(legacy["X"])).tolist()
+        assert got == legacy[kind]["predict"]
+
+
+def _tamper_bad_column(trees):
+    trees[0]["columns"] = [4000] * len(trees[0]["columns"])
+
+
+def _split_root(trees) -> dict:
+    return next(
+        e["tree"]["nodes"] for e in trees if e["tree"]["nodes"]["feature"][0] >= 0
+    )
+
+
+def _tamper_child_out_of_range(trees):
+    nodes = _split_root(trees)
+    nodes["left"][0] = len(nodes["left"]) + 5
+
+
+def _tamper_child_before_parent(trees):
+    _split_root(trees)["right"][0] = 0
+
+
+def _tamper_shared_child(trees):
+    nodes = _split_root(trees)
+    nodes["right"][0] = nodes["left"][0]
+
+
+def _tamper_mismatched_lengths(trees):
+    trees[0]["tree"]["nodes"]["threshold"].pop()
+
+
+class TestTamperedFiles:
+    """A saved GBM is validated on load, before any descent walks it."""
+
+    @pytest.fixture(scope="class")
+    def envelope(self, flow, train_configs, workloads):
+        model = api.fit(
+            "mcpat-calib", flow=flow, train_configs=train_configs, workloads=workloads
+        )
+        return api.model_to_envelope(model)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _tamper_bad_column,
+            _tamper_child_out_of_range,
+            _tamper_child_before_parent,
+            _tamper_shared_child,
+            _tamper_mismatched_lengths,
+        ],
+    )
+    def test_load_rejects(self, envelope, tamper, tmp_path):
+        state = json.loads(json.dumps(envelope))
+        tamper(state["state"]["model"]["trees"])
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(state))
+        with pytest.raises(ValueError):
+            api.load_model(path)
+
+    def test_untampered_loads(self, envelope, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(envelope))
+        assert api.load_model(path) is not None

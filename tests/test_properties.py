@@ -9,7 +9,6 @@ from repro.library.sram_compiler import SramCompiler
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.linear import RidgeRegression
 from repro.ml.metrics import mape, pearson_r, r2_score, rmse
-from repro.ml.tree import RegressionTree
 from repro.vlsi.macro_mapping import MacroMapper
 
 _SMALL = dict(max_examples=30, deadline=None)
@@ -93,7 +92,10 @@ class TestTreeProperties:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, 3))
         y = rng.uniform(-10, 10, size=n)
-        tree = RegressionTree(max_depth=4, reg_lambda=0.0).fit(X, y)
+        # One round at full rate: the target mean plus one tree.
+        tree = GradientBoostingRegressor(
+            n_estimators=1, learning_rate=1.0, max_depth=4, reg_lambda=0.0
+        ).fit(X, y)
         pred = tree.predict(rng.normal(size=(50, 3)) * 10)
         assert pred.min() >= y.min() - 1e-9
         assert pred.max() <= y.max() + 1e-9
