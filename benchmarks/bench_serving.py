@@ -67,7 +67,6 @@ def live_gateway(served_load):
     handle = GatewayThread(
         api.PredictionService(model),
         max_batch_size=64,
-        max_wait_ms=2.0,
         resilience=ResilienceConfig(queue_depth=256),
     ).start()
     yield handle, payloads, expected
@@ -149,8 +148,7 @@ def _launch_serve(model_path, extra_args, come_up_timeout=120.0):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--model", str(model_path), "--port", "0",
-         "--max-wait-ms", "0", *extra_args],
+         "--model", str(model_path), "--port", "0", *extra_args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
     lines = []

@@ -144,7 +144,6 @@ def scenario_kill_and_heal(paths, payload, expected, chaos_dir) -> None:
             "--model", f"mcpat={paths['mcpat']}",
             "--port", "0",
             "--workers", "2",
-            "--max-wait-ms", "0",
             "--startup-timeout", "10",
             "--restart-backoff-ms", "50",
             "--max-restarts", "10",

@@ -167,7 +167,6 @@ def _measure_throughput(paths, requests, expected, workers: int) -> float:
     args = [
         "--model", f"default={paths['ap']}",
         "--port", "0",
-        "--max-wait-ms", "0",
     ]
     if workers > 1:
         args += ["--workers", str(workers)]

@@ -85,7 +85,7 @@ def _print_overview() -> None:
         "\n        [--max-restarts N] [--restart-backoff-ms MS]"
         " [--no-supervise]"
         "\n        [--auth-token T | --auth-token-env VAR | --auth-token-file F]"
-        "\n        [--rate-limit R --rate-burst B] [--max-wait-ms W]"
+        "\n        [--rate-limit R --rate-burst B] [--max-batch-size B]"
         "\n        [--queue-depth N] [--default-deadline-ms MS]"
         " [--drain-timeout S]"
         "\n  cache {stats|path|clear}  inspect / reset the flow disk cache"
@@ -281,7 +281,6 @@ def _build_fleet(args, default_name: str, models: dict, resilience):
         max_models=args.max_models,
         default_model=default_name,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         resilience=resilience,
         service_kwargs={"n_jobs": args.jobs},
     )
@@ -489,21 +488,14 @@ def _cmd_serve(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        metavar="W",
-        help=(
-            "how long a batch may wait for more requests after its first "
-            "one arrived (0 = flush immediately; default: 2.0)"
-        ),
-    )
-    parser.add_argument(
         "--max-batch-size",
         type=int,
         default=64,
         metavar="B",
-        help="flush as soon as this many requests are waiting (default: 64)",
+        help=(
+            "the most requests one flush takes; a flush starts whenever "
+            "the model is idle (default: 64)"
+        ),
     )
     parser.add_argument(
         "--jobs",
@@ -543,11 +535,8 @@ def _cmd_serve(argv: list[str]) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    if args.max_wait_ms < 0 or args.max_batch_size < 1:
-        print(
-            "error: --max-wait-ms must be >= 0 and --max-batch-size >= 1",
-            file=sys.stderr,
-        )
+    if args.max_batch_size < 1:
+        print("error: --max-batch-size must be >= 1", file=sys.stderr)
         return 2
     if args.queue_depth < 0 or args.drain_timeout < 0 or (
         args.default_deadline_ms is not None and args.default_deadline_ms <= 0

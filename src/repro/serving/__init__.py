@@ -46,7 +46,7 @@ responses bitwise-equal to direct per-request service calls.
 Command line::
 
     python -m repro serve --model model.json --port 8000 --workers 2 \
-        --auth-token-env REPRO_TOKEN --rate-limit 50 --max-wait-ms 2 \
+        --auth-token-env REPRO_TOKEN --rate-limit 50 --max-batch-size 64 \
         --queue-depth 1024 --default-deadline-ms 2000 --drain-timeout 10
 """
 

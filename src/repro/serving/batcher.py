@@ -5,12 +5,13 @@ requests *inside one submission*; a gateway's opportunity is bigger —
 concurrent HTTP callers each carry one request, and those can be
 coalesced *across callers*.  :class:`MicroBatcher` is that layer: every
 request lands in one asyncio queue, a single collector task drains it
-into batches (flushing when ``max_batch_size`` requests are waiting or
-the ``max_wait_ms`` window since the batch's first request expires —
-with no wait at all for traffic that is already queued), and each batch
-becomes one :meth:`~repro.api.service.PredictionService.submit_many`
-call.  Results are bitwise-equal to direct per-request service calls:
-the service pins that chunking never changes values.
+into batches, and each batch becomes one
+:meth:`~repro.api.service.PredictionService.submit_many` call.  There
+is no timer: the collector flushes whatever is queued (up to
+``max_batch_size``) as soon as the model is idle, so requests arriving
+during a model call form the next batch and batch size follows load.
+Results are bitwise-equal to direct per-request service calls: the
+service pins that chunking never changes values.
 
 The blocking model call runs on a private *daemon* worker thread, so
 the event loop keeps accepting and queueing new requests while a flush
@@ -142,15 +143,15 @@ class _Pending:
 class MicroBatcher:
     """Coalesce concurrent :meth:`submit` calls into batched service calls.
 
+    Each flush takes everything queued while the previous model call ran
+    (never waiting for more), so batches grow with load on their own.
+
     Parameters
     ----------
     service:
         The :class:`~repro.api.service.PredictionService` to drive.
     max_batch_size:
-        Flush as soon as this many requests are waiting.
-    max_wait_ms:
-        How long a batch may wait for more requests after its first one
-        arrived (``0`` = flush immediately with whatever is queued).
+        The most requests one flush takes; the rest wait for the next.
     resilience:
         The :class:`~repro.serving.resilience.ResilienceConfig` knobs
         (queue bound, default deadline, breaker, drain timeout);
@@ -169,19 +170,15 @@ class MicroBatcher:
         self,
         service: PredictionService,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
         resilience: ResilienceConfig | None = None,
         clock: Callable[[], float] | None = None,
         name: str = "default",
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         self.service = service
         self.name = name
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.breaker = CircuitBreaker(
             failure_threshold=self.resilience.breaker_failure_threshold,
@@ -361,32 +358,12 @@ class MicroBatcher:
             self._idle.clear()
             try:
                 self._drain_into(batch)
-                if (
-                    self.max_wait_ms > 0
-                    and not self._draining
-                    and len(batch) < self.max_batch_size
-                ):
-                    loop = asyncio.get_running_loop()
-                    deadline = loop.time() + self.max_wait_ms / 1000.0
-                    while len(batch) < self.max_batch_size and not self._draining:
-                        timeout = deadline - loop.time()
-                        if timeout <= 0:
-                            break
-                        try:
-                            batch.append(
-                                await asyncio.wait_for(
-                                    self._queue.get(), timeout
-                                )
-                            )
-                        except asyncio.TimeoutError:
-                            break
-                        self._drain_into(batch)
                 await self._flush(batch)
             except asyncio.CancelledError:
-                # stop() mid-collection or mid-flush: the batch items are
-                # already out of the queue, so the queue drain in stop()
-                # can't see them — fail their futures here or their
-                # submitters would await forever.
+                # stop() mid-flush: the batch items are already out of
+                # the queue, so the queue drain in stop() can't see them —
+                # fail their futures here or their submitters would await
+                # forever.
                 for pending in batch:
                     if not pending.future.done():
                         pending.future.set_exception(

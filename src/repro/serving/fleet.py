@@ -143,7 +143,7 @@ class ModelFleet:
         least-recently-routed non-default entry (drain-then-unload).
     default_model:
         The name legacy ``/predict`` routes to (default ``"default"``).
-    max_batch_size / max_wait_ms / resilience / clock:
+    max_batch_size / resilience / clock:
         Per-entry :class:`~repro.serving.batcher.MicroBatcher` knobs —
         every entry gets its own batcher built from the same knobs.
     service_kwargs:
@@ -160,7 +160,6 @@ class ModelFleet:
         max_models: int = 8,
         default_model: str = "default",
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
         resilience: ResilienceConfig | None = None,
         clock: Callable[[], float] | None = None,
         service_kwargs: dict | None = None,
@@ -170,7 +169,6 @@ class ModelFleet:
         self.max_models = max_models
         self.default_model = validate_model_name(default_model)
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self._clock = clock
         self.service_kwargs = dict(service_kwargs or {})
@@ -199,7 +197,6 @@ class ModelFleet:
         batcher = MicroBatcher(
             service,
             max_batch_size=self.max_batch_size,
-            max_wait_ms=self.max_wait_ms,
             resilience=self.resilience,
             clock=self._clock,
             name=name,
@@ -411,15 +408,22 @@ class ModelFleet:
 # Merged stats + the machine-parseable announce line.
 
 
+# Numeric leaves merge_stats must not sum, matched by key at any depth.
+_MAX_LEAVES = frozenset({"max_flush_size"})
+_PER_WORKER_LEAVES = frozenset({"p50", "p95", "service_time_ms"})
+
+
 def merge_stats(snapshots: list[dict]) -> dict:
     """Merge per-worker ``/stats`` snapshots into one additive view.
 
     Numeric leaves are summed (bools excluded), dicts merge recursively
     over the union of keys, and non-additive leaves (strings, bools,
     lists) keep the first worker's value when all workers agree and
-    collapse to ``None`` otherwise.  Percentiles and other non-additive
-    gauges are only meaningful per worker — read them from the
-    ``workers`` list, not the merged view.
+    collapse to ``None`` otherwise.  Three numeric gauges are not sums:
+    ``max_flush_size`` takes the max, ``mean_flush_size`` is recomputed
+    from the merged ``flushed_requests`` / ``flushes``, and the latency
+    percentiles and mean ``service_time_ms`` are ``None`` — they are
+    only meaningful per worker, so read them from the ``workers`` list.
     """
     snapshots = [s for s in snapshots if isinstance(s, dict)]
     if not snapshots:
@@ -432,13 +436,15 @@ def merge_stats(snapshots: list[dict]) -> dict:
     merged: dict = {}
     for key in keys:
         values = [s[key] for s in snapshots if key in s]
-        if all(isinstance(v, dict) for v in values):
+        if key in _PER_WORKER_LEAVES:
+            merged[key] = None
+        elif all(isinstance(v, dict) for v in values):
             merged[key] = merge_stats(values)
         elif all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
             for v in values
         ):
-            merged[key] = sum(values)
+            merged[key] = max(values) if key in _MAX_LEAVES else sum(values)
         elif all(
             type(v) is type(values[0]) and v == values[0] for v in values
         ):
@@ -447,6 +453,11 @@ def merge_stats(snapshots: list[dict]) -> dict:
             merged[key] = values[0]
         else:
             merged[key] = None
+    if "mean_flush_size" in merged:
+        flushes = merged.get("flushes")
+        merged["mean_flush_size"] = (
+            merged.get("flushed_requests", 0) / flushes if flushes else None
+        )
     return merged
 
 

@@ -196,7 +196,6 @@ class Gateway:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
         resilience: ResilienceConfig | None = None,
         clock: Any = None,
         auth: Authenticator | None = None,
@@ -213,7 +212,6 @@ class Gateway:
         else:
             self.fleet = ModelFleet(
                 max_batch_size=max_batch_size,
-                max_wait_ms=max_wait_ms,
                 resilience=self.resilience,
                 clock=clock,
             )

@@ -164,9 +164,9 @@ class TestModelCommands:
         assert main(["fit", "mcpat", "--out", str(model_path)]) == 0
         capsys.readouterr()
         assert main(
-            ["serve", "--model", str(model_path), "--max-wait-ms", "-1"]
+            ["serve", "--model", str(model_path), "--max-batch-size", "0"]
         ) == 2
-        assert "max-wait-ms" in capsys.readouterr().err
+        assert "max-batch-size" in capsys.readouterr().err
 
     def test_serve_rejects_bad_resilience_knobs_before_model_load(
         self, tmp_path, capsys

@@ -393,9 +393,7 @@ class TestDseJobs:
 class TestGatewayDse:
     @pytest.fixture(scope="class")
     def gateway(self, autopower2):
-        with GatewayThread(
-            api.PredictionService(autopower2), max_wait_ms=0.0
-        ) as handle:
+        with GatewayThread(api.PredictionService(autopower2)) as handle:
             yield handle
 
     @pytest.fixture(scope="class")

@@ -91,7 +91,6 @@ def _http(port, method, path, payload=None, token=None):
 
 
 def _two_model_fleet(autopower2, mcpat_model, **kwargs):
-    kwargs.setdefault("max_wait_ms", 0.5)
     fleet = ModelFleet(**kwargs)
     fleet.add_model("default", autopower2)
     fleet.add_model("mcpat", mcpat_model)
@@ -290,7 +289,6 @@ def auth_gateway(autopower2):
     service = api.PredictionService(autopower2)
     with GatewayThread(
         service,
-        max_wait_ms=0.5,
         auth=Authenticator([TOKEN_A, TOKEN_B]),
     ) as handle:
         yield handle
@@ -370,7 +368,6 @@ class TestRateLimitOverHttp:
         service = api.PredictionService(autopower2)
         with GatewayThread(
             service,
-            max_wait_ms=0.0,
             auth=Authenticator([TOKEN_A, TOKEN_B]),
             # Frozen clock: no refill during the test, burst of 2.
             rate_limiter=RateLimiter(1.0, burst=2, clock=lambda: 0.0),
@@ -561,6 +558,46 @@ class TestMergeStats:
     def test_dict_vs_scalar_collision_is_dropped(self):
         merged = merge_stats([{"x": {"n": 1}}, {"x": 3}])
         assert merged["x"] is None
+
+    def test_non_additive_gauges_are_not_summed(self):
+        # Two workers' /stats blocks: worker 1 flushed 10 requests in 4
+        # flushes (max 5), worker 2 flushed 2 in 2 (max 1).
+        def worker(flushes, requests, max_size, p50, service_ms):
+            return {
+                "gateway": {
+                    "flushes": flushes,
+                    "flushed_requests": requests,
+                    "mean_flush_size": requests / flushes,
+                    "max_flush_size": max_size,
+                    "latency_ms": {"window": 8, "p50": p50, "p95": p50 * 2},
+                },
+                "resilience": {"service_time_ms": service_ms},
+                "fleet": {
+                    "models": {"default": {"batcher": {"max_flush_size": max_size}}}
+                },
+            }
+
+        merged = merge_stats(
+            [worker(4, 10, 5, 3.0, 0.6), worker(2, 2, 1, 2.0, 0.5)]
+        )
+        gateway = merged["gateway"]
+        assert gateway["flushes"] == 6
+        assert gateway["flushed_requests"] == 12
+        assert gateway["mean_flush_size"] == 12 / 6
+        assert gateway["max_flush_size"] == 5
+        assert merged["fleet"]["models"]["default"]["batcher"] == {
+            "max_flush_size": 5
+        }
+        # Additive leaves still sum.
+        assert gateway["latency_ms"]["window"] == 16
+        # Percentiles and means have no merge from snapshots alone.
+        assert gateway["latency_ms"]["p50"] is None
+        assert gateway["latency_ms"]["p95"] is None
+        assert merged["resilience"]["service_time_ms"] is None
+
+    def test_mean_flush_size_without_flushes_is_none(self):
+        idle = {"flushes": 0, "flushed_requests": 0, "mean_flush_size": None}
+        assert merge_stats([idle, dict(idle)])["mean_flush_size"] is None
 
 
 class TestAnnounce:

@@ -143,7 +143,6 @@ class TestAdmissionControl:
         async def run():
             batcher = MicroBatcher(
                 FaultyService(service, injector),
-                max_wait_ms=0.0,
                 resilience=ResilienceConfig(queue_depth=2),
             )
             await batcher.start()
@@ -197,7 +196,6 @@ class TestDeadlines:
         async def run():
             batcher = MicroBatcher(
                 FaultyService(service, injector),
-                max_wait_ms=0.0,
                 clock=clock,
             )
             await batcher.start()
@@ -228,9 +226,7 @@ class TestDeadlines:
         injector = FaultInjector().hang_at(0)
 
         async def run():
-            batcher = MicroBatcher(
-                FaultyService(service, injector), max_wait_ms=0.0
-            )
+            batcher = MicroBatcher(FaultyService(service, injector))
             await batcher.start()
             with pytest.raises(DeadlineExceededError) as excinfo:
                 await batcher.submit(requests8[0], deadline_ms=50.0)
@@ -312,7 +308,6 @@ class TestCircuitBreaker:
         async def run():
             batcher = MicroBatcher(
                 FaultyService(service, injector),
-                max_wait_ms=0.0,
                 resilience=ResilienceConfig(
                     breaker_failure_threshold=3, breaker_cooldown_s=30.0
                 ),
@@ -351,7 +346,6 @@ class TestCircuitBreaker:
         async def run():
             batcher = MicroBatcher(
                 FaultyService(service, injector),
-                max_wait_ms=0.0,
                 resilience=ResilienceConfig(
                     breaker_failure_threshold=1, breaker_cooldown_s=5.0
                 ),
@@ -385,9 +379,7 @@ class TestGracefulDrain:
         injector = FaultInjector().hang_at(0)
 
         async def run():
-            batcher = MicroBatcher(
-                FaultyService(service, injector), max_wait_ms=0.0
-            )
+            batcher = MicroBatcher(FaultyService(service, injector))
             await batcher.start()
             first = asyncio.ensure_future(batcher.submit(requests8[0]))
             await _hang_started(injector)
@@ -417,9 +409,7 @@ class TestGracefulDrain:
         injector = FaultInjector().hang_at(0)
 
         async def run():
-            batcher = MicroBatcher(
-                FaultyService(service, injector), max_wait_ms=0.0
-            )
+            batcher = MicroBatcher(FaultyService(service, injector))
             await batcher.start()
             stuck = asyncio.ensure_future(batcher.submit(requests8[0]))
             await _hang_started(injector)
@@ -481,7 +471,6 @@ class TestGatewayResilience:
 
         with GatewayThread(
             FaultyService(service, injector),
-            max_wait_ms=0.0,
             resilience=ResilienceConfig(queue_depth=1),
         ) as handle:
             wedger = threading.Thread(target=post, args=(handle.port, 0))
@@ -514,9 +503,7 @@ class TestGatewayResilience:
         self, service, requests8
     ):
         injector = FaultInjector().hang_at(0)
-        with GatewayThread(
-            FaultyService(service, injector), max_wait_ms=0.0
-        ) as handle:
+        with GatewayThread(FaultyService(service, injector)) as handle:
             obj = wire.encode_request(requests8[0])
             obj["deadline_ms"] = 50
             status, body, _ = _http(handle.port, "POST", "/predict", obj)
@@ -525,7 +512,7 @@ class TestGatewayResilience:
             injector.release_hangs()
 
     def test_too_many_headers_is_431(self, service):
-        with GatewayThread(service, max_wait_ms=0.0) as handle:
+        with GatewayThread(service) as handle:
             filler = "".join(
                 f"X-Filler-{i}: v\r\n" for i in range(150)
             ).encode()
@@ -535,7 +522,7 @@ class TestGatewayResilience:
             assert b"headers" in data
 
     def test_oversized_header_block_is_431(self, service):
-        with GatewayThread(service, max_wait_ms=0.0) as handle:
+        with GatewayThread(service) as handle:
             filler = "".join(
                 f"X-Big-{i}: {'v' * 1024}\r\n" for i in range(40)
             ).encode()
@@ -546,7 +533,6 @@ class TestGatewayResilience:
     def test_stalled_client_mid_request_is_408(self, service):
         with GatewayThread(
             service,
-            max_wait_ms=0.0,
             resilience=ResilienceConfig(read_timeout_s=0.3),
         ) as handle:
             # Declares a body it never sends: the body read must time
@@ -560,7 +546,7 @@ class TestGatewayResilience:
             assert data.startswith(b"HTTP/1.1 408 ")
 
     def test_stats_exposes_resilience_and_circuit_state(self, service):
-        with GatewayThread(service, max_wait_ms=0.0) as handle:
+        with GatewayThread(service) as handle:
             _status, stats, _ = _http(handle.port, "GET", "/stats")
         resilience = stats["resilience"]
         assert resilience["draining"] is False
@@ -577,9 +563,7 @@ class TestGatewayResilience:
         # Satellite: a failing request must still count in
         # predict_requests, so /stats error ratios mean something.
         injector = FaultInjector().fail_at(0)
-        with GatewayThread(
-            FaultyService(service, injector), max_wait_ms=0.0
-        ) as handle:
+        with GatewayThread(FaultyService(service, injector)) as handle:
             status, _body, _ = _http(
                 handle.port, "POST", "/predict",
                 wire.encode_request(requests8[0]),
@@ -603,9 +587,7 @@ class TestGatewayResilience:
                 port, "POST", "/predict", wire.encode_request(requests8[index])
             )
 
-        handle = GatewayThread(
-            FaultyService(service, injector), max_wait_ms=0.0
-        ).start()
+        handle = GatewayThread(FaultyService(service, injector)).start()
         port = handle.port
         try:
             wedger = threading.Thread(target=post, args=(port, 0))
@@ -820,7 +802,7 @@ class TestServingClient:
     def test_live_round_trip_is_bitwise(
         self, service, requests8, direct_totals
     ):
-        with GatewayThread(service, max_wait_ms=0.0) as handle:
+        with GatewayThread(service) as handle:
             client = ServingClient(port=handle.port, max_retries=0)
             single = client.predict(requests8[0])
             many = client.predict_many(requests8[:3], deadline_ms=30_000)

@@ -39,18 +39,14 @@ def total_requests(flow, test_configs, workloads):
 @pytest.fixture(scope="module")
 def ap_gateway(autopower2):
     """A live gateway thread over a fitted AutoPower model."""
-    with GatewayThread(
-        api.PredictionService(autopower2), max_wait_ms=1.0
-    ) as handle:
+    with GatewayThread(api.PredictionService(autopower2)) as handle:
         yield handle
 
 
 @pytest.fixture(scope="module")
 def mcpat_gateway(mcpat_model):
     """A live gateway over the reports-free analytical baseline."""
-    with GatewayThread(
-        api.PredictionService(mcpat_model), max_wait_ms=0.0
-    ) as handle:
+    with GatewayThread(api.PredictionService(mcpat_model)) as handle:
         yield handle
 
 
@@ -156,7 +152,7 @@ class TestMicroBatcher:
         service = api.PredictionService(autopower2)
 
         async def run():
-            batcher = MicroBatcher(service, max_batch_size=64, max_wait_ms=50.0)
+            batcher = MicroBatcher(service, max_batch_size=64)
             await batcher.start()
             try:
                 responses = await asyncio.gather(
@@ -172,6 +168,49 @@ class TestMicroBatcher:
         assert flushes < len(total_requests)
         assert max_flush > 1
 
+    def test_requests_queued_during_a_flush_form_the_next_one(
+        self, autopower2, total_requests
+    ):
+        # The load-adaptive policy, pinned without timing: flush 1 wedges
+        # in the model, N requests queue behind it, and on release
+        # exactly one more flush carries all N.
+        import threading
+
+        service = api.PredictionService(autopower2)
+        entered = threading.Event()
+        release = threading.Event()
+
+        class GatedService:
+            def submit_many(self, requests):
+                entered.set()
+                release.wait(30)
+                return service.submit_many(requests)
+
+        first, rest = total_requests[0], total_requests[1:]
+
+        async def run():
+            batcher = MicroBatcher(GatedService())
+            await batcher.start()
+            try:
+                head = asyncio.ensure_future(batcher.submit(first))
+                while not entered.is_set():
+                    await asyncio.sleep(0.001)
+                tail = [asyncio.ensure_future(batcher.submit(r)) for r in rest]
+                while batcher.queue_depth < len(rest):
+                    await asyncio.sleep(0)
+                release.set()
+                responses = await asyncio.gather(head, *tail)
+            finally:
+                release.set()
+                await batcher.stop()
+            return responses, batcher.flushes, batcher.max_flush_size
+
+        responses, flushes, max_flush = asyncio.run(run())
+        assert flushes == 2
+        assert max_flush == len(rest)
+        direct = [service.predict(r).total for r in total_requests]
+        assert [r.total for r in responses] == direct
+
     def test_mixed_workload_presence_is_partitioned(
         self, mcpat_model, total_requests
     ):
@@ -182,7 +221,7 @@ class TestMicroBatcher:
         bare = api.PredictRequest(request.config, request.events, None)
 
         async def run():
-            batcher = MicroBatcher(service, max_wait_ms=50.0)
+            batcher = MicroBatcher(service)
             await batcher.start()
             try:
                 return await asyncio.gather(
@@ -207,7 +246,7 @@ class TestMicroBatcher:
         )
 
         async def run():
-            batcher = MicroBatcher(service, max_wait_ms=50.0)
+            batcher = MicroBatcher(service)
             await batcher.start()
             try:
                 return await asyncio.gather(
@@ -239,7 +278,7 @@ class TestMicroBatcher:
                 return list(requests)
 
         async def run():
-            batcher = MicroBatcher(SlowService(), max_wait_ms=0.0)
+            batcher = MicroBatcher(SlowService())
             await batcher.start()
             pending = asyncio.ensure_future(
                 batcher.submit(total_requests[0])
@@ -264,7 +303,7 @@ class TestMicroBatcher:
         direct = [service.predict(r).total for r in total_requests[:4]]
 
         async def run():
-            batcher = MicroBatcher(service, max_wait_ms=50.0)
+            batcher = MicroBatcher(service)
             await batcher.start()
             pending = [
                 asyncio.ensure_future(batcher.submit(r))
@@ -296,7 +335,6 @@ class TestMicroBatcher:
         async def run():
             batcher = MicroBatcher(
                 GatedService(),
-                max_wait_ms=0.0,
                 resilience=ResilienceConfig(queue_depth=2),
             )
             await batcher.start()
@@ -333,7 +371,7 @@ class TestMicroBatcher:
         self, mcpat_model, total_requests
     ):
         # A worst-case flush: workload-carrying, workload-free and
-        # poison (unsupported-kind) requests all land in one window from
+        # poison (unsupported-kind) requests all land in one flush from
         # concurrent callers.  Every good request must resolve with its
         # direct-call value; only the poison callers see failures.
         service = api.PredictionService(mcpat_model)
@@ -353,7 +391,7 @@ class TestMicroBatcher:
         direct = [service.predict(r).total for r in good]
 
         async def run():
-            batcher = MicroBatcher(service, max_wait_ms=50.0)
+            batcher = MicroBatcher(service)
             await batcher.start()
             try:
                 interleaved = [
@@ -389,8 +427,9 @@ class TestMicroBatcher:
         service = api.PredictionService(mcpat_model)
         with pytest.raises(ValueError, match="max_batch_size"):
             MicroBatcher(service, max_batch_size=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            MicroBatcher(service, max_wait_ms=-1.0)
+        with pytest.raises(ValueError, match="max_batch_size"):
+            MicroBatcher(service, max_batch_size=-1)
+        assert MicroBatcher(service, max_batch_size=1).max_batch_size == 1
 
 
 class TestGateway:
