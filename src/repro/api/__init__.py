@@ -6,9 +6,9 @@ any configuration from hardware parameters and performance-simulator
 events alone.  This package is that hand-off, method-agnostically:
 
 * :class:`PowerModel` — the protocol every method satisfies
-  (``fit_results`` / ``predict_total`` / ``predict_totals`` /
-  ``to_state`` / ``from_state``, plus ``predict_report`` where
-  supported),
+  (``fit_results`` / ``predict_totals`` / ``predict_total``, its batch
+  of one, bitwise-equal to the matching row / ``to_state`` /
+  ``from_state``, plus ``predict_report`` where supported),
 * the **method registry** — :func:`register`, :func:`get_method`,
   :func:`list_methods`, :func:`create`, :func:`fit` resolve methods by
   string name (``"autopower"``, ``"mcpat-calib"``, ...); experiments and

@@ -8,11 +8,13 @@ protocol pins down the surface that hand-off needs:
 * ``fit_results(results)`` — train from precomputed
   :class:`repro.vlsi.flow.FlowResult` objects (the flow is only ever run
   on *training* configurations),
-* ``predict_total(config, events, workload)`` — scalar total power (mW),
-* ``predict_totals(config, events, workload)`` — batched totals over an
-  :class:`repro.arch.events.EventBatch` (or sequence of
-  :class:`~repro.arch.events.EventParams`), bitwise-equal to the scalar
-  path,
+* ``predict_totals(config, events, workload)`` — total power (mW) per
+  interval of an :class:`repro.arch.events.EventBatch` (or sequence of
+  :class:`~repro.arch.events.EventParams`); each row depends only on its
+  own interval, so it does not change with the batch around it,
+* ``predict_total(config, events, workload)`` — one interval's total
+  power: the batch of one, bitwise-equal to the matching row of
+  ``predict_totals``,
 * ``to_state()`` / ``from_state(state, library)`` — plain-JSON state for
   the versioned persistence layer (no pickle),
 * ``predict_report`` — per-component, per-group
@@ -43,7 +45,7 @@ class PowerModel(Protocol):
         ...
 
     def predict_total(self, config: Any, events: Any, workload: Any = None) -> float:
-        """Predicted total power for one interval, in mW."""
+        """Predicted total power for one interval, in mW (the batch of one)."""
         ...
 
     def predict_totals(self, config: Any, events: Any, workload: Any = None) -> Any:

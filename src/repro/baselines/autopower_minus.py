@@ -7,6 +7,9 @@ golden group power, with the same feature budget as AutoPower's activity
 models (hardware parameters, event rates, program features).  What it
 lacks is the structural decoupling: no register-count/gating-rate
 formulation for clock, no scaling-law + macro-mapping for SRAM.
+
+Fit and predict share one batched feature assembly, and predict is one
+:class:`Forest` call over all 88 GBMs, built once per fit or load.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ from repro.arch.config import BoomConfig
 from repro.arch.events import EventBatch, EventParams
 from repro.arch.workloads import Workload
 from repro.core.features import (
-    event_features,
+    event_feature_names,
     event_features_batch,
+    features_by_config,
+    hardware_feature_names,
     hardware_features,
-    program_features,
+    program_feature_names,
     program_features_matrix,
 )
-from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.gbm import Forest, GradientBoostingRegressor
 from repro.ml.serialize import gbm_from_dict, gbm_to_dict
 from repro.parallel import get_executor
 from repro.power.report import POWER_GROUPS
@@ -65,18 +70,31 @@ class AutoPowerMinus:
         self.n_jobs = n_jobs
         self.executor_backend = executor_backend
         self._models: dict[tuple[str, str], GradientBoostingRegressor] = {}
+        self._forest: Forest | None = None
 
     # ------------------------------------------------------------------
-    def _features(
-        self, config: BoomConfig, events: EventParams, workload: Workload, component: str
-    ) -> np.ndarray:
-        parts = [
-            hardware_features(config, component),
-            event_features(events, component, config),
-        ]
-        if self.use_program_features:
-            parts.append(program_features(workload))
-        return np.concatenate(parts)
+    def _bases(self) -> np.ndarray:
+        """Start column of each component's block, then the total width."""
+        prog = len(program_feature_names()) if self.use_program_features else 0
+        return np.cumsum([0] + [
+            len(hardware_feature_names(c.name)) + len(event_feature_names(c.name)) + prog
+            for c in COMPONENTS
+        ])
+
+    def _features_batch(self, config: BoomConfig, batch: EventBatch, workload) -> np.ndarray:
+        """One row per interval; per component, in ``COMPONENTS`` order:
+        hardware features, event features, then program features."""
+        n = len(batch)
+        prog = program_features_matrix(workload, n) if self.use_program_features else None
+        blocks = []
+        for comp in COMPONENTS:
+            blocks += [
+                np.tile(hardware_features(config, comp.name), (n, 1)),
+                event_features_batch(batch, comp.name, config),
+            ]
+            if prog is not None:
+                blocks.append(prog)
+        return np.hstack(blocks)
 
     # ------------------------------------------------------------------
     def fit(
@@ -110,15 +128,12 @@ class AutoPowerMinus:
             raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = self._executor(n_jobs, backend)
+        wide = features_by_config(results, self._features_batch)
+        bases = self._bases()
         keys: list[tuple[str, str]] = []
         payloads: list[dict] = []
-        for comp in COMPONENTS:
-            x = np.stack(
-                [
-                    self._features(r.config, r.events, r.workload, comp.name)
-                    for r in results
-                ]
-            )
+        for comp, lo, hi in zip(COMPONENTS, bases, bases[1:]):
+            x = wide[:, lo:hi]
             for group in POWER_GROUPS:
                 y = np.array(
                     [r.power.component(comp.name).group(group) for r in results]
@@ -134,68 +149,42 @@ class AutoPowerMinus:
                 )
         models = executor.map(_fit_group_gbm, payloads)
         self._models = dict(zip(keys, models))
+        self._compile()
         return self
 
+    def _compile(self) -> None:
+        """One forest over every GBM: component-major, then ``POWER_GROUPS``."""
+        bases = self._bases()
+        self._forest = Forest(
+            [self._models[(c.name, g)] for c in COMPONENTS for g in POWER_GROUPS],
+            [base for base in bases[:-1] for _ in POWER_GROUPS],
+            int(bases[-1]),
+        )
+
     # ------------------------------------------------------------------
-    def predict_component_group(
-        self,
-        component: str,
-        group: str,
-        config: BoomConfig,
-        events: EventParams,
-        workload: Workload,
-    ) -> float:
-        if not self._models:
-            raise RuntimeError("AutoPowerMinus used before fit")
-        x = self._features(config, events, workload, component).reshape(1, -1)
-        return max(float(self._models[(component, group)].predict(x)[0]), 0.0)
-
-    def predict_group(
-        self, config: BoomConfig, events: EventParams, workload: Workload, group: str
-    ) -> float:
-        """Predicted power of one group summed over components, in mW."""
-        if group == "logic":
-            return self.predict_group(config, events, workload, "register") + (
-                self.predict_group(config, events, workload, "comb")
-            )
-        return sum(
-            self.predict_component_group(c.name, group, config, events, workload)
-            for c in COMPONENTS
-        )
-
-    def predict_total(
-        self, config: BoomConfig, events: EventParams, workload: Workload
-    ) -> float:
-        return sum(
-            self.predict_group(config, events, workload, group)
-            for group in POWER_GROUPS
-        )
-
-    def predict_totals(self, config: BoomConfig, events, workload) -> np.ndarray:
-        """Total power per interval of a batch, in mW (batched GBM passes).
-
-        ``events`` is an :class:`EventBatch` or a sequence of
-        :class:`EventParams`; ``workload`` is one workload or one per
-        interval.
-        """
-        if not self._models:
+    def predict_groups(self, config: BoomConfig, events, workload) -> np.ndarray:
+        """Power per interval of every (component, group), in mW, shaped
+        ``(n, len(COMPONENTS), len(POWER_GROUPS))``.  ``events`` is an
+        :class:`EventBatch` or a sequence of :class:`EventParams`;
+        ``workload`` is one workload or one per interval."""
+        if self._forest is None:
             raise RuntimeError("AutoPowerMinus used before fit")
         batch = EventBatch.from_events(events)
-        n = len(batch)
-        total = np.zeros(n)
-        prog = (
-            program_features_matrix(workload, n) if self.use_program_features else None
+        power = np.maximum(
+            self._forest.predict(self._features_batch(config, batch, workload)), 0.0
         )
-        for comp in COMPONENTS:
-            parts = [
-                np.tile(hardware_features(config, comp.name), (n, 1)),
-                event_features_batch(batch, comp.name, config),
-            ]
-            if prog is not None:
-                parts.append(prog)
-            x = np.hstack(parts)
-            for group in POWER_GROUPS:
-                total += np.maximum(self._models[(comp.name, group)].predict(x), 0.0)
+        return power.reshape(len(batch), len(COMPONENTS), len(POWER_GROUPS))
+
+    def predict_total(self, config: BoomConfig, events: EventParams, workload: Workload) -> float:
+        return float(self.predict_totals(config, [events], workload)[0])
+
+    def predict_totals(self, config: BoomConfig, events, workload) -> np.ndarray:
+        """Total power per interval of a batch, in mW: every (component,
+        group) of :meth:`predict_groups`, accumulated in that order."""
+        groups = self.predict_groups(config, events, workload)
+        total = np.zeros(len(groups))
+        for column in groups.reshape(len(groups), -1).T:
+            total += column
         return total
 
     # ------------------------------------------------------------------
@@ -225,4 +214,5 @@ class AutoPowerMinus:
             (entry["component"], entry["group"]): gbm_from_dict(entry["model"])
             for entry in state["models"]
         }
+        model._compile()
         return model

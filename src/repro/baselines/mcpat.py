@@ -77,12 +77,15 @@ class McPatAnalytical:
         self.mw_per_kunit = mw_per_kunit
         self.static_share = static_share
         self.miscalibration = miscalibration
+        # A factor depends only on its component and miscalibration: draw once.
+        rngs = {c.name: np.random.default_rng(stable_seed("mcpat-distortion", c.name))
+                for c in COMPONENTS}
+        self._distortions = {
+            name: float(1.0 + rng.uniform(-miscalibration, miscalibration))
+            for name, rng in rngs.items()
+        }
 
     # ------------------------------------------------------------------
-    def _distortion(self, component: str) -> float:
-        rng = np.random.default_rng(stable_seed("mcpat-distortion", component))
-        return float(1.0 + rng.uniform(-self.miscalibration, self.miscalibration))
-
     def area_proxy(self, config: BoomConfig, component: str) -> float:
         """Generic resource function: weighted sum of the component's params."""
         comp = next(c for c in COMPONENTS if c.name == component)
@@ -116,7 +119,7 @@ class McPatAnalytical:
             * (area / 1000.0)
             * (self.static_share + dynamic_share * act)
         )
-        return power * self._distortion(component)
+        return power * self._distortions[component]
 
     def predict_component_batch(
         self, component: str, config: BoomConfig, batch: EventBatch
@@ -139,7 +142,7 @@ class McPatAnalytical:
             * (area / 1000.0)
             * (self.static_share + dynamic_share * act)
         )
-        return power * self._distortion(component)
+        return power * self._distortions[component]
 
     def predict_total(
         self, config: BoomConfig, events: EventParams, workload=None

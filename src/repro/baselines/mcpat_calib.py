@@ -6,6 +6,9 @@ paper's comparison) that predicts total CPU power directly.  It is the
 representative "data-hungry" ML baseline: with only 2-3 known
 configurations its tree ensemble can only reproduce power levels it has
 seen, which is precisely the failure mode the paper's Fig. 4-6 document.
+
+Fit and predict share one batched feature assembly, and predict is one
+:class:`Forest` call, built once per fit or load.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from repro.arch.config import BoomConfig
 from repro.arch.events import EVENT_NAMES, EventBatch, EventParams
 from repro.arch.params import HARDWARE_PARAMETERS
 from repro.baselines.mcpat import McPatAnalytical
-from repro.ml.gbm import GradientBoostingRegressor
+from repro.core.features import features_by_config
+from repro.ml.gbm import Forest, GradientBoostingRegressor
 from repro.ml.serialize import gbm_from_dict, gbm_to_dict
 
 __all__ = ["McPatCalib"]
@@ -50,18 +54,11 @@ class McPatCalib:
         self.gbm_params = dict(_DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self._model: GradientBoostingRegressor | None = None
+        self._forest: Forest | None = None
 
     # ------------------------------------------------------------------
-    def _features(self, config: BoomConfig, events: EventParams) -> np.ndarray:
-        h = config.vector()
-        rates = np.array(
-            [events.counts[n] / events.cycles for n in EVENT_NAMES if n != "cycles"]
-        )
-        mcpat_total = self.mcpat.predict_total(config, events)
-        return np.concatenate([h, rates, [events.ipc, mcpat_total]])
-
-    def _features_batch(self, config: BoomConfig, batch: EventBatch) -> np.ndarray:
-        """Batched :meth:`_features`: one row per interval, same columns."""
+    def _features_batch(self, config: BoomConfig, batch: EventBatch, workload=None) -> np.ndarray:
+        """One row per interval, columns as :meth:`feature_names`."""
         n = len(batch)
         h = np.tile(config.vector(), (n, 1))
         cycles = batch.cycles
@@ -84,30 +81,31 @@ class McPatCalib:
     def fit_results(self, results: list) -> McPatCalib:
         if not results:
             raise ValueError("cannot fit on an empty result list")
-        x = np.stack([self._features(r.config, r.events) for r in results])
+        x = features_by_config(results, self._features_batch)
         y = np.array([r.power.total for r in results])
         self._model = GradientBoostingRegressor(
             random_state=self.random_state, **self.gbm_params
         )
         self._model.fit(x, y)
+        self._compile()
         return self
+
+    def _compile(self) -> None:
+        self._forest = Forest([self._model], [0], self._model.n_features_)
 
     def predict_total(
         self, config: BoomConfig, events: EventParams, workload=None
     ) -> float:
         """Predicted total power, in mW (workload arg for API uniformity)."""
-        if self._model is None:
-            raise RuntimeError("McPatCalib used before fit")
-        x = self._features(config, events).reshape(1, -1)
-        return max(float(self._model.predict(x)[0]), 0.0)
+        return float(self.predict_totals(config, [events], workload)[0])
 
     def predict_totals(self, config: BoomConfig, events, workload=None) -> np.ndarray:
-        """Per-interval total power for a batch, in mW (one fused GBM pass)."""
-        if self._model is None:
+        """Per-interval total power for a batch, in mW."""
+        if self._forest is None:
             raise RuntimeError("McPatCalib used before fit")
         batch = EventBatch.from_events(events)
         x = self._features_batch(config, batch)
-        return np.maximum(self._model.predict(x), 0.0)
+        return np.maximum(self._forest.predict(x)[:, 0], 0.0)
 
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
@@ -130,4 +128,5 @@ class McPatCalib:
             random_state=int(state["random_state"]),
         )
         model._model = gbm_from_dict(state["model"])
+        model._compile()
         return model

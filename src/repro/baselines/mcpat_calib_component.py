@@ -5,6 +5,9 @@ builds power models for each component respectively" (Sec. III-B1).  Each
 component gets its own boosted model over its Table III hardware
 parameters, its event rates and its analytical McPAT estimate; the total
 is the sum of the component predictions.
+
+Fit and predict share one batched feature assembly, and predict is one
+:class:`Forest` call over all 22 GBMs, built once per fit or load.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ from repro.arch.config import BoomConfig
 from repro.arch.events import EventBatch, EventParams
 from repro.baselines.mcpat import McPatAnalytical
 from repro.core.features import (
-    event_features,
+    event_feature_names,
     event_features_batch,
+    features_by_config,
+    hardware_feature_names,
     hardware_features,
 )
-from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.gbm import Forest, GradientBoostingRegressor
 from repro.ml.serialize import gbm_from_dict, gbm_to_dict
 
 __all__ = ["McPatCalibComponent"]
@@ -46,22 +51,31 @@ class McPatCalibComponent:
         self.gbm_params = dict(_DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self._models: dict[str, GradientBoostingRegressor] = {}
+        self._forest: Forest | None = None
 
     # ------------------------------------------------------------------
-    def _features(
-        self, config: BoomConfig, events: EventParams, component: str
-    ) -> np.ndarray:
-        # McPAT-Calib's feature recipe: hardware parameters, raw event
-        # rates and the analytical estimate (no utilization-normalized
-        # features — those are part of AutoPower's design).
-        mcpat_comp = self.mcpat.predict_component(component, config, events)
-        return np.concatenate(
-            [
-                hardware_features(config, component),
-                event_features(events, component),
-                [mcpat_comp],
+    @staticmethod
+    def _bases() -> np.ndarray:
+        """Start column of each component's block, then the total width."""
+        return np.cumsum([0] + [
+            len(hardware_feature_names(c.name))
+            + len(event_feature_names(c.name, normalized=False)) + 1
+            for c in COMPONENTS
+        ])
+
+    def _features_batch(self, config: BoomConfig, batch: EventBatch, workload=None) -> np.ndarray:
+        """One row per interval; per component, in ``COMPONENTS`` order:
+        hardware parameters, raw event rates (no utilization-normalized
+        features: those are AutoPower's design) and the McPAT estimate."""
+        n = len(batch)
+        blocks = []
+        for comp in COMPONENTS:
+            blocks += [
+                np.tile(hardware_features(config, comp.name), (n, 1)),
+                event_features_batch(batch, comp.name),
+                self.mcpat.predict_component_batch(comp.name, config, batch)[:, None],
             ]
-        )
+        return np.hstack(blocks)
 
     # ------------------------------------------------------------------
     def fit(self, flow, train_configs, workloads) -> McPatCalibComponent:
@@ -71,54 +85,38 @@ class McPatCalibComponent:
     def fit_results(self, results: list) -> McPatCalibComponent:
         if not results:
             raise ValueError("cannot fit on an empty result list")
-        for comp in COMPONENTS:
-            x = np.stack(
-                [self._features(r.config, r.events, comp.name) for r in results]
-            )
+        x = features_by_config(results, self._features_batch)
+        bases = self._bases()
+        for comp, lo, hi in zip(COMPONENTS, bases, bases[1:]):
             y = np.array([r.power.component(comp.name).total for r in results])
             model = GradientBoostingRegressor(
                 random_state=self.random_state, **self.gbm_params
             )
-            model.fit(x, y)
+            model.fit(x[:, lo:hi], y)
             self._models[comp.name] = model
+        self._compile()
         return self
 
-    def predict_component(
-        self, component: str, config: BoomConfig, events: EventParams
-    ) -> float:
-        if not self._models:
-            raise RuntimeError("McPatCalibComponent used before fit")
-        x = self._features(config, events, component).reshape(1, -1)
-        return max(float(self._models[component].predict(x)[0]), 0.0)
-
-    def predict_total(
-        self, config: BoomConfig, events: EventParams, workload=None
-    ) -> float:
-        return sum(
-            self.predict_component(c.name, config, events) for c in COMPONENTS
+    def _compile(self) -> None:
+        """One forest over the per-component GBMs, in ``COMPONENTS`` order."""
+        bases = self._bases()
+        self._forest = Forest(
+            [self._models[c.name] for c in COMPONENTS], bases[:-1], int(bases[-1])
         )
 
-    def predict_totals(self, config: BoomConfig, events, workload=None) -> np.ndarray:
-        """Per-interval total power for a batch, in mW.
+    def predict_total(self, config: BoomConfig, events: EventParams, workload=None) -> float:
+        return float(self.predict_totals(config, [events], workload)[0])
 
-        One fused GBM pass per component over the stacked feature matrix;
-        column order and arithmetic match the scalar path exactly.
-        """
-        if not self._models:
+    def predict_totals(self, config: BoomConfig, events, workload=None) -> np.ndarray:
+        """Per-interval total power for a batch, in mW: the clamped
+        component predictions summed in ``COMPONENTS`` order."""
+        if self._forest is None:
             raise RuntimeError("McPatCalibComponent used before fit")
         batch = EventBatch.from_events(events)
-        n = len(batch)
+        power = np.maximum(self._forest.predict(self._features_batch(config, batch)), 0.0)
         total = 0.0
-        for comp in COMPONENTS:
-            mcpat_comp = self.mcpat.predict_component_batch(comp.name, config, batch)
-            x = np.hstack(
-                [
-                    np.tile(hardware_features(config, comp.name), (n, 1)),
-                    event_features_batch(batch, comp.name),
-                    mcpat_comp[:, None],
-                ]
-            )
-            total = total + np.maximum(self._models[comp.name].predict(x), 0.0)
+        for column in power.T:
+            total = total + column
         return np.asarray(total, dtype=float)
 
     # ------------------------------------------------------------------
@@ -144,4 +142,5 @@ class McPatCalibComponent:
         model._models = {
             name: gbm_from_dict(sub) for name, sub in state["models"].items()
         }
+        model._compile()
         return model

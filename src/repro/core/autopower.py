@@ -225,8 +225,9 @@ class AutoPower:
     def predict_total(
         self, config: BoomConfig, events: EventParams, workload: Workload
     ) -> float:
-        """Predicted total power, in mW (the report's total)."""
-        return self.predict_report(config, events, workload).total
+        """Predicted total power, in mW: :meth:`predict_totals` of a batch
+        of one."""
+        return float(self.predict_totals(config, [events], workload)[0])
 
     def predict_group(
         self, config: BoomConfig, events: EventParams, workload: Workload, group: str

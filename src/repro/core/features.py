@@ -24,6 +24,7 @@ __all__ = [
     "event_feature_names",
     "event_features",
     "event_features_batch",
+    "features_by_config",
     "hardware_feature_names",
     "hardware_features",
     "program_feature_names",
@@ -182,3 +183,28 @@ def program_features_matrix(workload, n_rows: int) -> np.ndarray:
             f"got {len(workloads)} workloads for a batch of {n_rows} intervals"
         )
     return np.stack([program_features(w) for w in workloads])
+
+
+def features_by_config(results, build) -> np.ndarray:
+    """Feature rows of flow ``results``, in result order, built in batches.
+
+    Results are grouped by configuration content (``params_key``).  Each
+    group's rows come from one ``build(config, batch, workloads)`` call
+    over its stacked :class:`EventBatch` and per-row workloads, and are
+    scattered back to the results' positions.  The batched extractors
+    equal the scalar ones bit for bit, so the rows do too.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, res in enumerate(results):
+        groups.setdefault(res.config.params_key, []).append(i)
+    x = None
+    for rows in groups.values():
+        block = build(
+            results[rows[0]].config,
+            EventBatch.from_events([results[i].events for i in rows]),
+            [results[i].workload for i in rows],
+        )
+        if x is None:
+            x = np.empty((len(results), block.shape[1]))
+        x[rows] = block
+    return x

@@ -17,6 +17,7 @@ from repro.arch.workloads import WORKLOADS
 from repro.experiments.runner import fit_method, test_configs_for, train_configs_for
 from repro.experiments.tables import format_table
 from repro.ml.metrics import mape, pearson_r
+from repro.power.report import POWER_GROUPS
 from repro.vlsi.flow import VlsiFlow
 
 __all__ = ["GroupComparisonResult", "main", "run"]
@@ -53,9 +54,18 @@ def _compare_group(flow: VlsiFlow, group: str, n_train: int) -> GroupComparisonR
     ours = fit_method("autopower", flow, train, workloads)
     minus = fit_method("autopower-minus", flow, train, workloads)
 
+    # AutoPower−'s per-component power of this group, per test cell.
+    g = POWER_GROUPS.index(group)
+    minus_power = {
+        (config.name, workload.name): minus.predict_groups(
+            config, [flow.run(config, workload).events], workload
+        )[0, :, g].tolist()
+        for config in test
+        for workload in workloads
+    }
     per_component: dict[str, tuple[float, float]] = {}
     all_true, all_ours, all_minus = [], [], []
-    for comp in COMPONENTS:
+    for j, comp in enumerate(COMPONENTS):
         y_true, y_ours, y_minus = [], [], []
         for config in test:
             for workload in workloads:
@@ -76,11 +86,7 @@ def _compare_group(flow: VlsiFlow, group: str, n_train: int) -> GroupComparisonR
                             comp.name, config, res.events, workload
                         )
                     )
-                y_minus.append(
-                    minus.predict_component_group(
-                        comp.name, group, config, res.events, workload
-                    )
-                )
+                y_minus.append(minus_power[config.name, workload.name][j])
         if not y_true:
             continue
         per_component[comp.name] = (mape(y_true, y_ours), mape(y_true, y_minus))
@@ -105,7 +111,7 @@ def _compare_group(flow: VlsiFlow, group: str, n_train: int) -> GroupComparisonR
                 tot_ours.append(
                     sum(ours.sram_model.predict(config, res.events, workload).values())
                 )
-            tot_minus.append(minus.predict_group(config, res.events, workload, group))
+            tot_minus.append(sum(minus_power[config.name, workload.name]))
     return GroupComparisonResult(
         group=group,
         n_train=n_train,

@@ -75,3 +75,16 @@ def dhrystone():
     from repro.arch.workloads import workload_by_name
 
     return workload_by_name("dhrystone")
+
+
+@pytest.fixture(scope="session")
+def baselines2(flow, train_configs, workloads) -> dict:
+    """The three learned baselines, fitted on the 2-config few-shot split."""
+    import repro.api as api
+
+    return {
+        name: api.fit(
+            name, flow=flow, train_configs=train_configs, workloads=workloads
+        )
+        for name in ("autopower-minus", "mcpat-calib", "mcpat-calib-component")
+    }

@@ -93,9 +93,8 @@ class TestRegistry:
 
 class TestProtocolPredictions:
     def test_predict_totals_matches_scalar_loop(self, fitted, eval_cells):
-        # Guards the de-branching of evaluate_methods: the batched
-        # protocol path must reproduce the per-cell scalar calls that the
-        # pre-refactor runner issued, to 1e-12.
+        # A scalar call is a batch of one: every method's predict_total
+        # equals the matching row of predict_totals bit for bit.
         for name, model in fitted.items():
             for config in {c.name for c, _, _ in eval_cells}:
                 cells = [cell for cell in eval_cells if cell[0].name == config]
@@ -109,8 +108,7 @@ class TestProtocolPredictions:
                     ),
                     dtype=float,
                 )
-                np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=0,
-                                           err_msg=name)
+                assert batched.tobytes() == scalar.tobytes(), (name, config)
 
     def test_fit_results_accepts_precomputed_results(self, flow, train_configs,
                                                      workloads):

@@ -4,12 +4,14 @@ import pytest
 
 from repro.arch.components import COMPONENTS
 from repro.arch.config import config_by_name
+from repro.arch.events import EventBatch
 from repro.arch.workloads import workload_by_name
 from repro.baselines.autopower_minus import AutoPowerMinus
 from repro.baselines.mcpat import McPatAnalytical
 from repro.baselines.mcpat_calib import McPatCalib
 from repro.baselines.mcpat_calib_component import McPatCalibComponent
 from repro.ml.metrics import mape
+from repro.power.report import POWER_GROUPS, ComponentPower, PowerReport
 
 
 class TestMcPatAnalytical:
@@ -89,7 +91,8 @@ class TestMcPatCalib:
 
     def test_feature_names_align(self, calib, flow, c8):
         events = flow.run(c8, workload_by_name("qsort")).events
-        assert len(McPatCalib.feature_names()) == calib._features(c8, events).size
+        x = calib._features_batch(c8, EventBatch.from_events(events))
+        assert x.shape == (1, len(McPatCalib.feature_names()))
 
 
 class TestMcPatCalibComponent:
@@ -100,15 +103,19 @@ class TestMcPatCalibComponent:
     def test_total_is_component_sum(self, calib_comp, flow, c8):
         events = flow.run(c8, workload_by_name("qsort")).events
         total = calib_comp.predict_total(c8, events)
-        parts = sum(
-            calib_comp.predict_component(c.name, c8, events) for c in COMPONENTS
-        )
+        x = calib_comp._features_batch(c8, EventBatch.from_events(events))
+        bases = calib_comp._bases()
+        assert bases[-1] == x.shape[1]
+        parts = 0.0
+        for comp, lo, hi in zip(COMPONENTS, bases, bases[1:]):
+            model = calib_comp._models[comp.name]
+            parts += max(float(model.predict(x[:, lo:hi])[0]), 0.0)
         assert total == pytest.approx(parts)
 
     def test_requires_fit(self, flow, c8):
         with pytest.raises(RuntimeError):
-            McPatCalibComponent().predict_component(
-                "ROB", c8, flow.run(c8, workload_by_name("qsort")).events
+            McPatCalibComponent().predict_total(
+                c8, flow.run(c8, workload_by_name("qsort")).events
             )
 
 
@@ -121,24 +128,28 @@ class TestAutoPowerMinus:
         w = workload_by_name("qsort")
         events = flow.run(c8, w).events
         total = minus.predict_total(c8, events, w)
-        parts = sum(
-            minus.predict_group(c8, events, w, g)
-            for g in ("clock", "sram", "register", "comb")
-        )
-        assert total == pytest.approx(parts)
+        groups = minus.predict_groups(c8, [events], w)
+        assert groups.shape == (1, len(COMPONENTS), len(POWER_GROUPS))
+        assert (groups >= 0.0).all()
+        assert total == pytest.approx(groups.sum())
 
     def test_logic_group_alias(self, minus, flow, c8):
+        # The groups axis follows POWER_GROUPS, so a report built from it
+        # derives the paper's logic group (register + comb).
         w = workload_by_name("qsort")
         events = flow.run(c8, w).events
-        logic = minus.predict_group(c8, events, w, "logic")
-        assert logic == pytest.approx(
-            minus.predict_group(c8, events, w, "register")
-            + minus.predict_group(c8, events, w, "comb")
+        groups = minus.predict_groups(c8, [events], w)[0]
+        report = PowerReport(
+            "C8", "qsort",
+            tuple(ComponentPower(c.name, *row) for c, row in zip(COMPONENTS, groups)),
         )
+        assert report.group_total("logic") == pytest.approx(
+            groups[:, POWER_GROUPS.index("register")].sum()
+            + groups[:, POWER_GROUPS.index("comb")].sum()
+        )
+        assert report.total == pytest.approx(minus.predict_total(c8, events, w))
 
     def test_requires_fit(self, flow, c8):
         w = workload_by_name("qsort")
         with pytest.raises(RuntimeError):
-            AutoPowerMinus().predict_component_group(
-                "ROB", "clock", c8, flow.run(c8, w).events, w
-            )
+            AutoPowerMinus().predict_groups(c8, [flow.run(c8, w).events], w)

@@ -27,6 +27,15 @@ DATA = Path(__file__).parent / "data"
 # deliberate, reviewed format change.
 AUTOPOWER2_SHA256 = "d9150ce48d9cc77dde6425b67f4acdc560ac7482c170d7f12e313fc6168ea1e0"
 SEEDED_GBM_SHA256 = "3bddb515f1b016a48283a79339de03b334ed7f394ed5176a0a48c22d1e1d8ad9"
+# sha256 of ``json.dumps(model.to_state())`` for the learned baselines
+# fitted on the 2-config split.
+BASELINE2_STATE_SHA256 = {
+    "autopower-minus": "d88af7d6b5dd2c2eb0ef2994f29237139fff795919596a9f2b4f563749b131c3",
+    "mcpat-calib": "51416cfe6ade564dd5ce27835aea9f819beefbf11e265972abec395dbafb9e4c",
+    "mcpat-calib-component": (
+        "ce58b0aaae0cbc5c819c528732b30957ac26356a8edce0ffa31fd78955f70991"
+    ),
+}
 
 
 def _data(n=60, seed=0):
@@ -142,6 +151,13 @@ class TestSavedBytes:
         text = json.dumps(gbm_to_dict(_seeded_gbm()))
         assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_GBM_SHA256
         assert json.dumps(gbm_to_dict(gbm_from_dict(json.loads(text)))) == text
+
+    @pytest.mark.parametrize("name", sorted(BASELINE2_STATE_SHA256))
+    def test_baseline_state_bytes_pinned(self, baselines2, name):
+        text = json.dumps(baselines2[name].to_state())
+        assert hashlib.sha256(text.encode()).hexdigest() == BASELINE2_STATE_SHA256[name]
+        clone = api.get_method(name).cls.from_state(json.loads(text))
+        assert json.dumps(clone.to_state()) == text
 
 
 class TestLegacyFiles:

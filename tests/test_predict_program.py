@@ -120,7 +120,9 @@ class TestMatchesScalarPath:
             assert report.workload_name == "dhrystone"
             got = [(c.clock, c.sram, c.register, c.comb) for c in report.components]
             assert _same_bits(got, groups[i])
-        assert autopower2.predict_total(c8, batch[3], dhrystone) == reports[3].total
+        assert autopower2.predict_total(c8, batch[3], dhrystone) == (
+            autopower2.predict_totals(c8, batch, dhrystone)[3]
+        )
         assert autopower2.predict_group(
             c8, batch[3], dhrystone, "sram"
         ) == reports[3].group_total("sram")
