@@ -18,8 +18,9 @@ Request kinds:
 * ``"trace"`` — per-window power trace from activity scales; methods
   with ``predict_trace`` only (AutoPower).
 
-``n_jobs`` fans the per-configuration batch calls out through
-:mod:`repro.parallel` (the numbers are backend-independent);
+``n_jobs`` fans the per-configuration batch calls out over one thread
+pool per service, built once (the forest kernel releases the GIL, and
+the numbers do not depend on the worker count);
 ``max_batch_size`` caps how many intervals one model call sees, so a
 service embedded in a latency-sensitive loop can bound its chunk cost.
 :meth:`PredictionService.stream` is the incremental variant: it consumes
@@ -142,13 +143,6 @@ class ServiceStats:
     # readers on another thread than the submitter (e.g. /stats).
 
 
-def _predict_totals_task(payload: dict) -> np.ndarray:
-    """One coalesced totals call — the picklable executor task."""
-    return payload["model"].predict_totals(
-        payload["config"], payload["batch"], payload["workload"]
-    )
-
-
 def _workload_arg(workloads: list) -> Any:
     """Collapse a per-row workload list to what the batch APIs expect."""
     if all(w is None for w in workloads):
@@ -168,10 +162,10 @@ class PredictionService:
     ----------
     model:
         Any fitted :class:`repro.api.protocol.PowerModel`.
-    n_jobs / backend:
-        Parallel fan-out of the per-configuration batch calls through
-        :mod:`repro.parallel` (``None`` defers to ``--jobs`` /
-        ``REPRO_JOBS``; results are backend-independent).
+    n_jobs:
+        Threads for the per-configuration batch calls of one submission
+        (``None`` defers to ``--jobs`` / ``REPRO_JOBS``).  The pool is
+        built once per service; results equal the serial ones.
     max_batch_size:
         Upper bound on intervals per coalesced model call (``None`` =
         unbounded).
@@ -189,14 +183,13 @@ class PredictionService:
         self,
         model: Any,
         n_jobs: int | None = None,
-        backend: str | None = None,
         max_batch_size: int | None = None,
     ) -> None:
         if max_batch_size is not None and max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
         self.model = model
         self.n_jobs = n_jobs
-        self.backend = backend
+        self._executor = get_executor(n_jobs, "thread")
         self.max_batch_size = max_batch_size
         self.stats = ServiceStats()  # guarded-by: _stats_lock
         self._stats_lock = threading.Lock()
@@ -228,7 +221,7 @@ class PredictionService:
 
         ``total`` requests sharing a configuration coalesce into one
         :class:`EventBatch` ``predict_totals`` call (chunked by
-        ``max_batch_size``) and fan out across the executor; ``report``
+        ``max_batch_size``) and fan out over the service's threads; ``report``
         requests batch through ``predict_reports`` per configuration;
         ``trace`` requests run one batched anchor sweep each.
         """
@@ -239,33 +232,19 @@ class PredictionService:
         responses: list[PredictResponse | None] = [None] * len(requests)
 
         # -- totals: coalesce per config, chunk, fan out -----------------
-        chunks: list[tuple[list[int], dict]] = []
-        for part in self._config_chunks(requests, "total"):
-            chunks.append(
-                (
-                    part,
-                    {
-                        "model": self.model,
-                        "config": requests[part[0]].config,
-                        "batch": EventBatch.from_events(
-                            [requests[i].events for i in part]
-                        ),
-                        "workload": _workload_arg(
-                            [requests[i].workload for i in part]
-                        ),
-                    },
-                )
+        def predict_totals(part: list[int]) -> np.ndarray:
+            return self.model.predict_totals(
+                requests[part[0]].config,
+                EventBatch.from_events([requests[i].events for i in part]),
+                _workload_arg([requests[i].workload for i in part]),
             )
-        if chunks:
-            executor = get_executor(self.n_jobs, self.backend)
-            totals = executor.map(_predict_totals_task, [p for _, p in chunks])
-            model_calls += len(chunks)
-            for (part, _payload), values in zip(chunks, totals):
-                batched_intervals += len(part)
-                for i, value in zip(part, np.asarray(values, dtype=float)):
-                    responses[i] = self._response(
-                        requests[i], total=float(value)
-                    )
+
+        parts = list(self._config_chunks(requests, "total"))
+        for part, values in zip(parts, self._executor.map(predict_totals, parts)):
+            model_calls += 1
+            batched_intervals += len(part)
+            for i, value in zip(part, np.asarray(values, dtype=float)):
+                responses[i] = self._response(requests[i], total=float(value))
 
         # -- reports: batch per config where the model supports it -------
         for part in self._config_chunks(requests, "report"):

@@ -8,8 +8,8 @@ models (hardware parameters, event rates, program features).  What it
 lacks is the structural decoupling: no register-count/gating-rate
 formulation for clock, no scaling-law + macro-mapping for SRAM.
 
-Fit and predict share one batched feature assembly, and predict is one
-:class:`Forest` call over all 88 GBMs, built once per fit or load.
+Fit and predict gather one :class:`repro.core.features.FeatureLayout`, and
+predict is one :class:`Forest` call over all 88 GBMs, built per fit or load.
 """
 
 from __future__ import annotations
@@ -20,15 +20,8 @@ from repro.arch.components import COMPONENTS
 from repro.arch.config import BoomConfig
 from repro.arch.events import EventBatch, EventParams
 from repro.arch.workloads import Workload
-from repro.core.features import (
-    event_feature_names,
-    event_features_batch,
-    features_by_config,
-    hardware_feature_names,
-    hardware_features,
-    program_feature_names,
-    program_features_matrix,
-)
+from repro.baselines.mcpat_calib import DEFAULT_GBM
+from repro.core.features import FeatureLayout, activity_block, features_by_config
 from repro.ml.gbm import Forest, GradientBoostingRegressor
 from repro.ml.serialize import gbm_from_dict, gbm_to_dict
 from repro.parallel import get_executor
@@ -45,13 +38,6 @@ def _fit_group_gbm(payload: dict) -> GradientBoostingRegressor:
     model.fit(payload["x"], payload["y"])
     return model
 
-_DEFAULT_GBM = {
-    "n_estimators": 200,
-    "learning_rate": 0.08,
-    "max_depth": 3,
-    "reg_lambda": 1.0,
-}
-
 
 class AutoPowerMinus:
     """Per-group direct ML power model (no within-group decoupling)."""
@@ -65,36 +51,17 @@ class AutoPowerMinus:
         executor_backend: str | None = None,
     ) -> None:
         self.use_program_features = use_program_features
-        self.gbm_params = dict(_DEFAULT_GBM if gbm_params is None else gbm_params)
+        self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self.n_jobs = n_jobs
         self.executor_backend = executor_backend
+        # Per component, in ``COMPONENTS`` order: hardware parameters, raw
+        # and normalized event rates, IPC, then program features.
+        self.layout = FeatureLayout(
+            [activity_block(c.name, use_program_features) for c in COMPONENTS]
+        )
         self._models: dict[tuple[str, str], GradientBoostingRegressor] = {}
         self._forest: Forest | None = None
-
-    # ------------------------------------------------------------------
-    def _bases(self) -> np.ndarray:
-        """Start column of each component's block, then the total width."""
-        prog = len(program_feature_names()) if self.use_program_features else 0
-        return np.cumsum([0] + [
-            len(hardware_feature_names(c.name)) + len(event_feature_names(c.name)) + prog
-            for c in COMPONENTS
-        ])
-
-    def _features_batch(self, config: BoomConfig, batch: EventBatch, workload) -> np.ndarray:
-        """One row per interval; per component, in ``COMPONENTS`` order:
-        hardware features, event features, then program features."""
-        n = len(batch)
-        prog = program_features_matrix(workload, n) if self.use_program_features else None
-        blocks = []
-        for comp in COMPONENTS:
-            blocks += [
-                np.tile(hardware_features(config, comp.name), (n, 1)),
-                event_features_batch(batch, comp.name, config),
-            ]
-            if prog is not None:
-                blocks.append(prog)
-        return np.hstack(blocks)
 
     # ------------------------------------------------------------------
     def fit(
@@ -128,12 +95,10 @@ class AutoPowerMinus:
             raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = self._executor(n_jobs, backend)
-        wide = features_by_config(results, self._features_batch)
-        bases = self._bases()
+        wide = features_by_config(results, self.layout)
         keys: list[tuple[str, str]] = []
         payloads: list[dict] = []
-        for comp, lo, hi in zip(COMPONENTS, bases, bases[1:]):
-            x = wide[:, lo:hi]
+        for comp, x in zip(COMPONENTS, self.layout.split(wide)):
             for group in POWER_GROUPS:
                 y = np.array(
                     [r.power.component(comp.name).group(group) for r in results]
@@ -154,11 +119,10 @@ class AutoPowerMinus:
 
     def _compile(self) -> None:
         """One forest over every GBM: component-major, then ``POWER_GROUPS``."""
-        bases = self._bases()
         self._forest = Forest(
             [self._models[(c.name, g)] for c in COMPONENTS for g in POWER_GROUPS],
-            [base for base in bases[:-1] for _ in POWER_GROUPS],
-            int(bases[-1]),
+            [base for base, _ in self.layout.spans for _ in POWER_GROUPS],
+            self.layout.width,
         )
 
     # ------------------------------------------------------------------
@@ -170,9 +134,8 @@ class AutoPowerMinus:
         if self._forest is None:
             raise RuntimeError("AutoPowerMinus used before fit")
         batch = EventBatch.from_events(events)
-        power = np.maximum(
-            self._forest.predict(self._features_batch(config, batch, workload)), 0.0
-        )
+        x = self.layout.config_features(config, batch, workload)
+        power = np.maximum(self._forest.predict(x), 0.0)
         return power.reshape(len(batch), len(COMPONENTS), len(POWER_GROUPS))
 
     def predict_total(self, config: BoomConfig, events: EventParams, workload: Workload) -> float:

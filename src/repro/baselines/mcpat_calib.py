@@ -7,8 +7,8 @@ representative "data-hungry" ML baseline: with only 2-3 known
 configurations its tree ensemble can only reproduce power levels it has
 seen, which is precisely the failure mode the paper's Fig. 4-6 document.
 
-Fit and predict share one batched feature assembly, and predict is one
-:class:`Forest` call, built once per fit or load.
+Fit and predict gather one :class:`repro.core.features.FeatureLayout`, and
+predict is one :class:`Forest` call, built once per fit or load.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from repro.arch.config import BoomConfig
 from repro.arch.events import EVENT_NAMES, EventBatch, EventParams
 from repro.arch.params import HARDWARE_PARAMETERS
 from repro.baselines.mcpat import McPatAnalytical
-from repro.core.features import features_by_config
+from repro.core.features import FeatureBlock, FeatureLayout, features_by_config
 from repro.ml.gbm import Forest, GradientBoostingRegressor
 from repro.ml.serialize import gbm_from_dict, gbm_to_dict
 
-__all__ = ["McPatCalib"]
+__all__ = ["DEFAULT_GBM", "McPatCalib"]
 
-_DEFAULT_GBM = {
+# McPAT-Calib's boosted-model settings; every learned baseline uses them.
+DEFAULT_GBM = {
     "n_estimators": 200,
     "learning_rate": 0.08,
     "max_depth": 3,
@@ -44,6 +45,12 @@ class McPatCalib:
         Hyper-parameters of the boosted regression model.
     """
 
+    #: Columns as :meth:`feature_names`: every hardware parameter, every
+    #: raw event rate, IPC, then the McPAT total.
+    layout = FeatureLayout([FeatureBlock(
+        HARDWARE_PARAMETERS, tuple(n for n in EVENT_NAMES if n != "cycles"), raw=True, extra=1
+    )])
+
     def __init__(
         self,
         mcpat: McPatAnalytical | None = None,
@@ -51,22 +58,14 @@ class McPatCalib:
         random_state: int = 0,
     ) -> None:
         self.mcpat = mcpat if mcpat is not None else McPatAnalytical()
-        self.gbm_params = dict(_DEFAULT_GBM if gbm_params is None else gbm_params)
+        self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self._model: GradientBoostingRegressor | None = None
         self._forest: Forest | None = None
 
     # ------------------------------------------------------------------
-    def _features_batch(self, config: BoomConfig, batch: EventBatch, workload=None) -> np.ndarray:
-        """One row per interval, columns as :meth:`feature_names`."""
-        n = len(batch)
-        h = np.tile(config.vector(), (n, 1))
-        cycles = batch.cycles
-        rates = np.column_stack(
-            [batch.column(name) / cycles for name in EVENT_NAMES if name != "cycles"]
-        )
-        mcpat_total = self.mcpat.predict_totals(config, batch)
-        return np.hstack([h, rates, batch.ipc[:, None], mcpat_total[:, None]])
+    def _mcpat_total(self, config: BoomConfig, batch: EventBatch) -> np.ndarray:
+        return self.mcpat.predict_totals(config, batch)[:, None]
 
     @staticmethod
     def feature_names() -> tuple[str, ...]:
@@ -81,7 +80,7 @@ class McPatCalib:
     def fit_results(self, results: list) -> McPatCalib:
         if not results:
             raise ValueError("cannot fit on an empty result list")
-        x = features_by_config(results, self._features_batch)
+        x = features_by_config(results, self.layout, self._mcpat_total)
         y = np.array([r.power.total for r in results])
         self._model = GradientBoostingRegressor(
             random_state=self.random_state, **self.gbm_params
@@ -104,7 +103,7 @@ class McPatCalib:
         if self._forest is None:
             raise RuntimeError("McPatCalib used before fit")
         batch = EventBatch.from_events(events)
-        x = self._features_batch(config, batch)
+        x = self.layout.config_features(config, batch, extra=self._mcpat_total)
         return np.maximum(self._forest.predict(x)[:, 0], 0.0)
 
     # ------------------------------------------------------------------

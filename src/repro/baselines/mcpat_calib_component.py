@@ -6,8 +6,8 @@ component gets its own boosted model over its Table III hardware
 parameters, its event rates and its analytical McPAT estimate; the total
 is the sum of the component predictions.
 
-Fit and predict share one batched feature assembly, and predict is one
-:class:`Forest` call over all 22 GBMs, built once per fit or load.
+Fit and predict gather one :class:`repro.core.features.FeatureLayout`, and
+predict is one :class:`Forest` call over all 22 GBMs, built per fit or load.
 """
 
 from __future__ import annotations
@@ -16,30 +16,31 @@ import numpy as np
 
 from repro.arch.components import COMPONENTS
 from repro.arch.config import BoomConfig
-from repro.arch.events import EventBatch, EventParams
+from repro.arch.events import COMPONENT_EVENTS, EventBatch, EventParams
 from repro.baselines.mcpat import McPatAnalytical
+from repro.baselines.mcpat_calib import DEFAULT_GBM
 from repro.core.features import (
-    event_feature_names,
-    event_features_batch,
+    FeatureBlock,
+    FeatureLayout,
     features_by_config,
     hardware_feature_names,
-    hardware_features,
 )
 from repro.ml.gbm import Forest, GradientBoostingRegressor
 from repro.ml.serialize import gbm_from_dict, gbm_to_dict
 
 __all__ = ["McPatCalibComponent"]
 
-_DEFAULT_GBM = {
-    "n_estimators": 200,
-    "learning_rate": 0.08,
-    "max_depth": 3,
-    "reg_lambda": 1.0,
-}
-
 
 class McPatCalibComponent:
     """One McPAT-Calib model per component; total = sum of components."""
+
+    #: Per component, in ``COMPONENTS`` order: hardware parameters, raw
+    #: event rates and IPC (no utilization-normalized features: those are
+    #: AutoPower's design), then the component's McPAT estimate.
+    layout = FeatureLayout([
+        FeatureBlock(hardware_feature_names(c.name), COMPONENT_EVENTS[c.name], raw=True, extra=1)
+        for c in COMPONENTS
+    ])
 
     def __init__(
         self,
@@ -48,34 +49,15 @@ class McPatCalibComponent:
         random_state: int = 0,
     ) -> None:
         self.mcpat = mcpat if mcpat is not None else McPatAnalytical()
-        self.gbm_params = dict(_DEFAULT_GBM if gbm_params is None else gbm_params)
+        self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self._models: dict[str, GradientBoostingRegressor] = {}
         self._forest: Forest | None = None
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _bases() -> np.ndarray:
-        """Start column of each component's block, then the total width."""
-        return np.cumsum([0] + [
-            len(hardware_feature_names(c.name))
-            + len(event_feature_names(c.name, normalized=False)) + 1
-            for c in COMPONENTS
-        ])
-
-    def _features_batch(self, config: BoomConfig, batch: EventBatch, workload=None) -> np.ndarray:
-        """One row per interval; per component, in ``COMPONENTS`` order:
-        hardware parameters, raw event rates (no utilization-normalized
-        features: those are AutoPower's design) and the McPAT estimate."""
-        n = len(batch)
-        blocks = []
-        for comp in COMPONENTS:
-            blocks += [
-                np.tile(hardware_features(config, comp.name), (n, 1)),
-                event_features_batch(batch, comp.name),
-                self.mcpat.predict_component_batch(comp.name, config, batch)[:, None],
-            ]
-        return np.hstack(blocks)
+    def _mcpat_components(self, config: BoomConfig, batch: EventBatch) -> np.ndarray:
+        return np.column_stack(
+            [self.mcpat.predict_component_batch(c.name, config, batch) for c in COMPONENTS]
+        )
 
     # ------------------------------------------------------------------
     def fit(self, flow, train_configs, workloads) -> McPatCalibComponent:
@@ -85,23 +67,23 @@ class McPatCalibComponent:
     def fit_results(self, results: list) -> McPatCalibComponent:
         if not results:
             raise ValueError("cannot fit on an empty result list")
-        x = features_by_config(results, self._features_batch)
-        bases = self._bases()
-        for comp, lo, hi in zip(COMPONENTS, bases, bases[1:]):
+        x = features_by_config(results, self.layout, self._mcpat_components)
+        for comp, block in zip(COMPONENTS, self.layout.split(x)):
             y = np.array([r.power.component(comp.name).total for r in results])
             model = GradientBoostingRegressor(
                 random_state=self.random_state, **self.gbm_params
             )
-            model.fit(x[:, lo:hi], y)
+            model.fit(block, y)
             self._models[comp.name] = model
         self._compile()
         return self
 
     def _compile(self) -> None:
         """One forest over the per-component GBMs, in ``COMPONENTS`` order."""
-        bases = self._bases()
         self._forest = Forest(
-            [self._models[c.name] for c in COMPONENTS], bases[:-1], int(bases[-1])
+            [self._models[c.name] for c in COMPONENTS],
+            [base for base, _ in self.layout.spans],
+            self.layout.width,
         )
 
     def predict_total(self, config: BoomConfig, events: EventParams, workload=None) -> float:
@@ -113,7 +95,8 @@ class McPatCalibComponent:
         if self._forest is None:
             raise RuntimeError("McPatCalibComponent used before fit")
         batch = EventBatch.from_events(events)
-        power = np.maximum(self._forest.predict(self._features_batch(config, batch)), 0.0)
+        x = self.layout.config_features(config, batch, extra=self._mcpat_components)
+        power = np.maximum(self._forest.predict(x), 0.0)
         total = 0.0
         for column in power.T:
             total = total + column

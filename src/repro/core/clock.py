@@ -27,8 +27,11 @@ from repro.arch.components import COMPONENTS
 from repro.arch.config import BoomConfig
 from repro.arch.events import EventParams
 from repro.core.features import (
+    FeatureLayout,
     event_features,
+    features_by_config,
     hardware_features,
+    normalized_block,
     polynomial_hardware_features,
 )
 from repro.library.stdcell import TechLibrary
@@ -36,9 +39,10 @@ from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.linear import RidgeRegression
 from repro.parallel import Executor, SerialExecutor
 
-__all__ = ["ClockPowerModel"]
+__all__ = ["ClockPowerModel", "DEFAULT_GBM"]
 
-_DEFAULT_GBM = {
+# The boosted sub-models' hyper-parameters, shared by every AutoPower group.
+DEFAULT_GBM = {
     "n_estimators": 150,
     "learning_rate": 0.08,
     "max_depth": 3,
@@ -95,7 +99,7 @@ class ClockPowerModel:
     ) -> None:
         self.library = library
         self.ridge_alpha = ridge_alpha
-        self.gbm_params = dict(_DEFAULT_GBM if gbm_params is None else gbm_params)
+        self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self._models: dict[str, _ComponentClockModel] = {}
         self._fitted = False
@@ -114,11 +118,20 @@ class ClockPowerModel:
         fits are independent and run through ``executor`` (serial by
         default) with numerically identical results on every backend.
         """
+        if not results:
+            raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = SerialExecutor()
+        # One row per result; each component reads its normalized block.
+        layout = FeatureLayout([normalized_block(c.name) for c in COMPONENTS])
+        blocks = layout.split(features_by_config(results, layout))
+        first: dict[str, object] = {}
+        for res in results:
+            first.setdefault(res.config.name, res)
+        config_results = list(first.values())
         payloads = [
-            self._component_payload(component.name, results)
-            for component in COMPONENTS
+            self._component_payload(component.name, results, config_results, x)
+            for component, x in zip(COMPONENTS, blocks)
         ]
         models = executor.map(_fit_clock_component, payloads)
         self._models = {
@@ -127,14 +140,10 @@ class ClockPowerModel:
         self._fitted = True
         return self
 
-    def _component_payload(self, name: str, results: list) -> dict:
-        """Feature matrices and labels of one component's fit task."""
-        if not results:
-            raise ValueError("cannot fit on an empty result list")
-        by_config: dict[str, object] = {}
-        for res in results:
-            by_config.setdefault(res.config.name, res)
-        config_results = list(by_config.values())
+    def _component_payload(
+        self, name: str, results: list, config_results: list, x: np.ndarray
+    ) -> dict:
+        """One component's fit task; ``x`` is its block of the fit matrix."""
         p_reg = self.library.p_reg_mw
 
         # Per-config labels from the netlist.
@@ -148,9 +157,9 @@ class ClockPowerModel:
             g_labels.append(comp_net.gating_rate)
 
         # Per-sample effective-active-rate labels (Eq. 7 inverted).
-        x_rows = []
+        rows = []
         a_labels = []
-        for res in results:
+        for i, res in enumerate(results):
             comp_net = res.netlist.component(name)
             r = comp_net.registers
             g = comp_net.gating_rate
@@ -158,9 +167,9 @@ class ClockPowerModel:
             if r <= 0 or g <= 0:
                 continue
             alpha_eff = (p_clk - r * (1.0 - g) * p_reg) / (r * g)
-            x_rows.append(self._alpha_features(res.config, res.events, name))
+            rows.append(i)
             a_labels.append(max(alpha_eff, 0.0))
-        if not x_rows:
+        if not rows:
             raise RuntimeError(f"no effective-active-rate samples for {name}")
         return {
             "ridge_alpha": self.ridge_alpha,
@@ -169,7 +178,7 @@ class ClockPowerModel:
             "h": np.stack(h_rows),
             "r_labels": np.array(r_labels),
             "g_labels": np.array(g_labels),
-            "x": np.stack(x_rows),
+            "x": x[rows],
             "a_labels": np.array(a_labels),
         }
 

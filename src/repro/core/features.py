@@ -1,4 +1,4 @@
-"""Feature extraction for AutoPower's sub-models.
+"""Feature extraction for every learned power model.
 
 Three feature families, matching the paper's inputs:
 
@@ -9,24 +9,36 @@ Three feature families, matching the paper's inputs:
   workload (instruction mix, footprints, entropy).  The paper adds these
   to the SRAM activity model to compensate for performance-simulator
   inaccuracy.
+
+A :class:`FeatureLayout` lays the inputs of many sub-models side by side
+in one wide matrix, one block each, and fills it with one gather.  Every
+learned method builds its fit and predict matrices through one, so the
+two see the same columns; the scalar extractors here are the references
+the gather equals bit for bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.arch.components import component_by_name
 from repro.arch.config import BoomConfig
-from repro.arch.events import COMPONENT_EVENTS, EventBatch, EventParams
+from repro.arch.events import COMPONENT_EVENTS, EVENT_NAMES, EventBatch, EventParams
 from repro.arch.workloads import Workload
 
 __all__ = [
+    "FeatureBlock",
+    "FeatureLayout",
+    "activity_block",
     "event_feature_names",
     "event_features",
     "event_features_batch",
     "features_by_config",
     "hardware_feature_names",
     "hardware_features",
+    "normalized_block",
     "program_feature_names",
     "program_features",
     "program_features_matrix",
@@ -83,9 +95,7 @@ def polynomial_hardware_features(config: BoomConfig, component: str) -> np.ndarr
     return np.concatenate([base, products])
 
 
-def event_feature_names(
-    component: str, include_raw: bool = True, normalized: bool = True
-) -> tuple[str, ...]:
+def event_feature_names(component: str, include_raw: bool = True) -> tuple[str, ...]:
     """Names of the E features of one component.
 
     Raw per-cycle rates, the same rates normalized by each of the
@@ -98,10 +108,7 @@ def event_feature_names(
     names: list[str] = []
     if include_raw:
         names.extend(f"rate_{n}" for n in event_names)
-    if normalized:
-        for n in event_names:
-            for p in params:
-                names.append(f"rate_{n}/{p}")
+    names.extend(f"rate_{n}/{p}" for n in event_names for p in params)
     names.append("ipc")
     return tuple(names)
 
@@ -185,26 +192,135 @@ def program_features_matrix(workload, n_rows: int) -> np.ndarray:
     return np.stack([program_features(w) for w in workloads])
 
 
-def features_by_config(results, build) -> np.ndarray:
-    """Feature rows of flow ``results``, in result order, built in batches.
+_INSTRUCTIONS = EVENT_NAMES.index("instructions")
 
-    Results are grouped by configuration content (``params_key``).  Each
-    group's rows come from one ``build(config, batch, workloads)`` call
-    over its stacked :class:`EventBatch` and per-row workloads, and are
-    scattered back to the results' positions.  The batched extractors
-    equal the scalar ones bit for bit, so the rows do too.
+
+@dataclass(frozen=True)
+class FeatureBlock:
+    """One sub-model's inputs, in column order: the hardware ``params``,
+    the raw per-cycle rates of ``events``, those rates divided by each of
+    ``params`` (floored at 1), IPC, the program features, then ``extra``
+    columns the caller fills (the McPAT-Calib baselines' McPAT estimates)."""
+
+    params: tuple[str, ...]
+    events: tuple[str, ...]
+    raw: bool = False
+    normalized: bool = False
+    program: bool = False
+    extra: int = 0
+
+
+def normalized_block(component: str) -> FeatureBlock:
+    """H and normalized E: the clock active-rate, register-activity and
+    comb-variation GBMs' inputs (``ClockPowerModel._alpha_features``)."""
+    return FeatureBlock(
+        hardware_feature_names(component), COMPONENT_EVENTS[component], normalized=True
+    )
+
+
+def activity_block(component: str, program: bool) -> FeatureBlock:
+    """H, raw and normalized E [and program features]: what the SRAM
+    positions inherit (``SramPowerModel._activity_features``)."""
+    return FeatureBlock(
+        hardware_feature_names(component), COMPONENT_EVENTS[component],
+        raw=True, normalized=True, program=program,
+    )
+
+
+class FeatureLayout:
+    """Blocks side by side in one wide matrix; ``spans[k]`` is the
+    ``(base, width)`` of ``blocks[k]``.
+
+    :meth:`hardware` is the configuration-only part (memoizable per
+    configuration); :meth:`features` gathers the rest per interval.
+    """
+
+    def __init__(self, blocks) -> None:
+        self.blocks = tuple(blocks)
+        # Every parameter read, then a 1.0 slot: the raw rates' divisor.
+        self.params = tuple(sorted({p for b in self.blocks for p in b.params}))
+        slot = {p: i for i, p in enumerate(self.params)}
+        one = len(self.params)
+        hw: list[tuple[int, int]] = []  # (column, parameter slot)
+        ev: list[tuple[int, int, int]] = []  # (column, event, divisor slot)
+        prog: list[int] = []
+        extra: list[int] = []
+        spans = []
+        width = 0
+        for block in self.blocks:
+            base = width
+            params = [slot[p] for p in block.params]
+            events = [EVENT_NAMES.index(e) for e in block.events]
+            hw += [(width + k, s) for k, s in enumerate(params)]
+            width += len(params)
+            sources = [(e, one) for e in events] if block.raw else []
+            if block.normalized:
+                sources += [(e, s) for e in events for s in params]
+            sources.append((_INSTRUCTIONS, one))  # ipc
+            ev += [(width + k, e, s) for k, (e, s) in enumerate(sources)]
+            width += len(sources)
+            n_prog = len(_PROGRAM_FEATURE_NAMES) if block.program else 0
+            prog += range(width, width + n_prog)
+            extra += range(width + n_prog, width + n_prog + block.extra)
+            width += n_prog + block.extra
+            spans.append((base, width - base))
+        self.spans = tuple(spans)
+        self.width = width
+        self._hw_cols, self._hw_slot = np.array(hw, dtype=np.intp).reshape(-1, 2).T
+        self._ev_cols, self._ev_src, self._ev_slot = (
+            np.array(ev, dtype=np.intp).reshape(-1, 3).T
+        )
+        self._prog_cols = np.array(prog, dtype=np.intp)
+        self._extra_cols = np.array(extra, dtype=np.intp)
+
+    def hardware(self, config: BoomConfig) -> tuple[np.ndarray, np.ndarray]:
+        """The hardware columns' values and the event columns' divisors."""
+        values = np.append(config.vector(self.params), 1.0)
+        return values[self._hw_slot], np.maximum(values[self._ev_slot], 1.0)
+
+    def features(self, hardware, events: EventBatch, workload=None, extra=None) -> np.ndarray:
+        """One configuration's matrix, one row per interval: ``hardware``
+        is its :meth:`hardware`, ``workload`` one or one per interval, and
+        ``extra`` the ``(n, n_extra)`` caller-filled columns."""
+        values, divisors = hardware
+        n = len(events)
+        x = np.empty((n, self.width))
+        x[:, self._hw_cols] = values
+        rates = events.matrix / events.cycles[:, None]
+        x[:, self._ev_cols] = rates[:, self._ev_src] / divisors
+        if self._prog_cols.size:
+            prog = program_features_matrix(workload, n)
+            x[:, self._prog_cols] = np.tile(prog, self._prog_cols.size // prog.shape[1])
+        if self._extra_cols.size:
+            if extra is None:
+                raise ValueError("this layout needs its extra columns")
+            x[:, self._extra_cols] = extra
+        return x
+
+    def config_features(self, config, events: EventBatch, workload=None, extra=None):
+        """:meth:`features` of ``config``, unmemoized; ``extra(config,
+        events)`` returns the caller-filled columns."""
+        cols = None if extra is None else extra(config, events)
+        return self.features(self.hardware(config), events, workload, cols)
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """Each block's column slice of a matrix in this layout."""
+        return [x[:, lo : lo + width] for lo, width in self.spans]
+
+
+def features_by_config(results, layout: FeatureLayout, extra=None) -> np.ndarray:
+    """The ``layout`` matrix of flow ``results``, one row per result.
+
+    Results are grouped by configuration content (``params_key``); each
+    group is one gather, scattered back in result order.
+    ``extra(config, batch)`` fills the layout's caller-filled columns.
     """
     groups: dict[tuple, list[int]] = {}
     for i, res in enumerate(results):
         groups.setdefault(res.config.params_key, []).append(i)
-    x = None
+    x = np.empty((len(results), layout.width))
     for rows in groups.values():
-        block = build(
-            results[rows[0]].config,
-            EventBatch.from_events([results[i].events for i in rows]),
-            [results[i].workload for i in rows],
-        )
-        if x is None:
-            x = np.empty((len(results), block.shape[1]))
-        x[rows] = block
+        batch = EventBatch.from_events([results[i].events for i in rows])
+        workloads = [results[i].workload for i in rows]
+        x[rows] = layout.config_features(results[rows[0]].config, batch, workloads, extra)
     return x

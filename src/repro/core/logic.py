@@ -19,9 +19,13 @@ import numpy as np
 from repro.arch.components import COMPONENTS
 from repro.arch.config import BoomConfig
 from repro.arch.events import EventParams
+from repro.core.clock import DEFAULT_GBM
 from repro.core.features import (
+    FeatureLayout,
     event_features,
+    features_by_config,
     hardware_features,
+    normalized_block,
     polynomial_hardware_features,
 )
 from repro.ml.gbm import GradientBoostingRegressor
@@ -29,13 +33,6 @@ from repro.ml.linear import RidgeRegression
 from repro.parallel import Executor, SerialExecutor
 
 __all__ = ["CombPowerModel", "LogicPowerModel", "RegisterPowerModel"]
-
-_DEFAULT_GBM = {
-    "n_estimators": 150,
-    "learning_rate": 0.08,
-    "max_depth": 3,
-    "reg_lambda": 1.0,
-}
 
 
 def _he_features(config: BoomConfig, events: EventParams, component: str) -> np.ndarray:
@@ -48,6 +45,13 @@ def _he_features(config: BoomConfig, events: EventParams, component: str) -> np.
             event_features(events, component, config, include_raw=False),
         ]
     )
+
+
+def _he_blocks(results: list) -> list[np.ndarray]:
+    """Each component's :func:`_he_features` block of the fit matrix, one
+    row per result, in ``COMPONENTS`` order."""
+    layout = FeatureLayout([normalized_block(c.name) for c in COMPONENTS])
+    return layout.split(features_by_config(results, layout))
 
 
 def _fit_ridge_gbm_pair(
@@ -79,7 +83,7 @@ class RegisterPowerModel:
         random_state: int = 0,
     ) -> None:
         self.ridge_alpha = ridge_alpha
-        self.gbm_params = dict(_DEFAULT_GBM if gbm_params is None else gbm_params)
+        self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self._f_reg: dict[str, RidgeRegression] = {}
         self._f_act: dict[str, GradientBoostingRegressor] = {}
@@ -92,9 +96,13 @@ class RegisterPowerModel:
             raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = SerialExecutor()
+        first: dict[str, object] = {}
+        for res in results:
+            first.setdefault(res.config.name, res)
+        config_results = list(first.values())
         payloads = [
-            self._component_payload(component.name, results)
-            for component in COMPONENTS
+            self._component_payload(component.name, results, config_results, x)
+            for component, x in zip(COMPONENTS, _he_blocks(results))
         ]
         pairs = executor.map(_fit_ridge_gbm_pair, payloads)
         for component, (f_reg, f_act) in zip(COMPONENTS, pairs):
@@ -103,25 +111,22 @@ class RegisterPowerModel:
         self._fitted = True
         return self
 
-    def _component_payload(self, name: str, results: list) -> dict:
-        by_config: dict[str, object] = {}
-        for res in results:
-            by_config.setdefault(res.config.name, res)
-        config_results = list(by_config.values())
-
+    def _component_payload(
+        self, name: str, results: list, config_results: list, x: np.ndarray
+    ) -> dict:
         h_rows = [
             polynomial_hardware_features(res.config, name) for res in config_results
         ]
         r_labels = [
             float(res.netlist.component(name).registers) for res in config_results
         ]
-        x_rows, act_labels = [], []
-        for res in results:
+        rows, act_labels = [], []
+        for i, res in enumerate(results):
             registers = res.netlist.component(name).registers
             if registers <= 0:
                 continue
             p_register = res.power.component(name).register
-            x_rows.append(_he_features(res.config, res.events, name))
+            rows.append(i)
             act_labels.append(p_register / registers)
         return {
             "ridge_alpha": self.ridge_alpha,
@@ -129,7 +134,7 @@ class RegisterPowerModel:
             "random_state": self.random_state,
             "h": np.stack(h_rows),
             "h_labels": np.array(r_labels),
-            "x": np.stack(x_rows),
+            "x": x[rows],
             "x_labels": np.array(act_labels),
         }
 
@@ -159,7 +164,7 @@ class CombPowerModel:
         random_state: int = 0,
     ) -> None:
         self.ridge_alpha = ridge_alpha
-        self.gbm_params = dict(_DEFAULT_GBM if gbm_params is None else gbm_params)
+        self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self._f_sta: dict[str, RidgeRegression] = {}
         self._f_var: dict[str, GradientBoostingRegressor] = {}
@@ -172,9 +177,12 @@ class CombPowerModel:
             raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = SerialExecutor()
+        by_config: dict[str, list[int]] = {}
+        for i, res in enumerate(results):
+            by_config.setdefault(res.config.name, []).append(i)
         payloads = [
-            self._component_payload(component.name, results)
-            for component in COMPONENTS
+            self._component_payload(component.name, results, by_config, x)
+            for component, x in zip(COMPONENTS, _he_blocks(results))
         ]
         pairs = executor.map(_fit_ridge_gbm_pair, payloads)
         for component, (f_sta, f_var) in zip(COMPONENTS, pairs):
@@ -183,39 +191,32 @@ class CombPowerModel:
         self._fitted = True
         return self
 
-    def _component_payload(self, name: str, results: list) -> dict:
-        by_config: dict[str, list] = {}
-        for res in results:
-            by_config.setdefault(res.config.name, []).append(res)
-
+    def _component_payload(
+        self, name: str, results: list, by_config: dict, x: np.ndarray
+    ) -> dict:
         # Stable power: average combinational power across workloads.
         h_rows, sta_labels = [], []
-        stable_by_config: dict[str, float] = {}
-        for config_name, config_results in by_config.items():
-            powers = [r.power.component(name).comb for r in config_results]
+        for indices in by_config.values():
+            powers = [results[i].power.component(name).comb for i in indices]
             stable = float(np.mean(powers))
-            stable_by_config[config_name] = stable
-            h_rows.append(
-                polynomial_hardware_features(config_results[0].config, name)
-            )
+            h_rows.append(polynomial_hardware_features(results[indices[0]].config, name))
             sta_labels.append(stable)
 
         # Variation: per-workload ratio to the stable power.
-        x_rows, var_labels = [], []
-        for config_name, config_results in by_config.items():
-            stable = stable_by_config[config_name]
+        rows, var_labels = [], []
+        for indices, stable in zip(by_config.values(), sta_labels):
             if stable <= 0:
                 continue
-            for res in config_results:
-                x_rows.append(_he_features(res.config, res.events, name))
-                var_labels.append(res.power.component(name).comb / stable)
+            for i in indices:
+                rows.append(i)
+                var_labels.append(results[i].power.component(name).comb / stable)
         return {
             "ridge_alpha": self.ridge_alpha,
             "gbm_params": self.gbm_params,
             "random_state": self.random_state,
             "h": np.stack(h_rows),
             "h_labels": np.array(sta_labels),
-            "x": np.stack(x_rows),
+            "x": x[rows],
             "x_labels": np.array(var_labels),
         }
 

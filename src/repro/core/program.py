@@ -7,14 +7,16 @@ and the paper's power equations.  :class:`PredictProgram` evaluates all
 of it for a batch of event intervals of one configuration in three steps:
 
 1. **Hardware memo.**  Everything that depends on the configuration alone
-   — hardware features, register counts, gating rates, stable
-   combinational power, SRAM block shapes and macro mappings, and the
-   per-parameter divisors of the normalized event rates — is computed
-   once per configuration *content* (its parameter values, not its name)
-   and kept in a small thread-safe LRU.
-2. **One gather.**  Event features of every sub-model come from one
-   gather-and-divide of the per-cycle rate matrix into one wide matrix;
-   hardware and program features are scattered beside them.
+   — the feature layout's hardware values and rate divisors, register
+   counts, gating rates, stable combinational power, SRAM block shapes and
+   macro mappings — is computed once per configuration *content* (its
+   parameter values, not its name) and kept in a small thread-safe LRU.
+2. **One gather.**  The inputs of every sub-model come from one
+   :class:`repro.core.features.FeatureLayout` gather into one wide
+   matrix: per component a normalized block that its clock, register and
+   comb ensembles share, then per SRAM component an activity block that
+   its positions share.  The group models' ``fit`` builds its training
+   rows from the same blocks, so fit and predict see the same columns.
 3. **One forest.**  All ensembles form one :class:`repro.ml.gbm.Forest`,
    evaluated in one call, followed by the power equations, vectorized
    across components.
@@ -33,12 +35,8 @@ import numpy as np
 
 from repro.arch.components import COMPONENTS
 from repro.arch.config import BoomConfig
-from repro.arch.events import COMPONENT_EVENTS, EVENT_NAMES, EventBatch
-from repro.core.features import (
-    hardware_feature_names,
-    program_feature_names,
-    program_features_matrix,
-)
+from repro.arch.events import EventBatch
+from repro.core.features import FeatureLayout, activity_block, normalized_block
 from repro.ml.gbm import Forest
 
 __all__ = ["PredictProgram"]
@@ -47,15 +45,12 @@ __all__ = ["PredictProgram"]
 # fleet touches a few dozen at a time.
 _MEMO_SIZE = 64
 
-_INSTRUCTIONS = EVENT_NAMES.index("instructions")
-
 
 class _ConfigPlan:
     """The hardware-only part of a prediction for one configuration."""
 
     __slots__ = (
-        "hw_values",
-        "divisors",
+        "hardware",
         "clock_static",
         "clock_r",
         "clock_g",
@@ -86,47 +81,20 @@ class PredictProgram:
         self.components = tuple(names)
         self.has_sram = tuple(name in positions for name in names)
 
-        # -- wide-matrix layout: one column block per feature set --------
-        hw_cols: list[int] = []
-        hw_param: list[str] = []
-        ev_cols: list[int] = []
-        ev_src: list[int] = []
-        ev_param: list[str | None] = []  # divisor parameter, None = 1.0
-        prog_cols: list[int] = []
-        width = 0
-
-        def block(name: str, include_raw: bool, program: bool) -> int:
-            """Lay out one sub-model's feature vector; return its base."""
-            nonlocal width
-            base = width
-            params = hardware_feature_names(name)
-            events = [EVENT_NAMES.index(e) for e in COMPONENT_EVENTS[name]]
-            for p in params:
-                hw_cols.append(width)
-                hw_param.append(p)
-                width += 1
-            columns: list[tuple[int, str | None]] = []
-            if include_raw:
-                columns.extend((e, None) for e in events)
-            columns.extend((e, p) for e in events for p in params)
-            columns.append((_INSTRUCTIONS, None))  # ipc
-            for e, p in columns:
-                ev_cols.append(width)
-                ev_src.append(e)
-                ev_param.append(p)
-                width += 1
-            if program:
-                prog_cols.extend(range(width, width + len(program_feature_names())))
-                width += len(program_feature_names())
-            return base
-
         # Per component: the clock active-rate, register-activity and
-        # comb-variation GBMs share one (hardware, normalized events)
-        # block; SRAM positions share their component's activity block.
+        # comb-variation GBMs share one normalized block; SRAM positions
+        # share their component's activity block.
+        self.layout = FeatureLayout(
+            [normalized_block(name) for name in names]
+            + [
+                activity_block(comp_name, sram_model.use_program_features)
+                for comp_name in positions
+            ]
+        )
+        bases = [base for base, _ in self.layout.spans]
         models = []
         col_bases = []
-        for name in names:
-            base = block(name, include_raw=False, program=False)
+        for name, base in zip(names, bases):
             models += [
                 clock_model._models[name].f_alpha,
                 logic_model.register_model._f_act[name],
@@ -135,10 +103,7 @@ class PredictProgram:
             col_bases += [base, base, base]
         position_component: list[int] = []
         self.position_names: list[str] = []
-        for comp_name, pos_names in positions.items():
-            base = block(
-                comp_name, include_raw=True, program=sram_model.use_program_features
-            )
+        for (comp_name, pos_names), base in zip(positions.items(), bases[len(names):]):
             for pos in pos_names:
                 model = sram_model._positions[pos]
                 models += [model.f_read, model.f_write]
@@ -146,13 +111,6 @@ class PredictProgram:
                 position_component.append(names.index(comp_name))
                 self.position_names.append(pos)
 
-        self.width = width
-        self.hw_cols = np.array(hw_cols, dtype=np.intp)
-        self.hw_param = tuple(hw_param)
-        self.ev_cols = np.array(ev_cols, dtype=np.intp)
-        self.ev_src = np.array(ev_src, dtype=np.intp)
-        self.ev_param = tuple(ev_param)
-        self.prog_cols = np.array(prog_cols, dtype=np.intp)
         self.position_component = tuple(position_component)
         n = len(names)
         self.clock_seg = np.arange(0, 3 * n, 3)
@@ -160,7 +118,7 @@ class PredictProgram:
         self.comb_seg = self.clock_seg + 2
         self.read_seg = np.arange(3 * n, len(models), 2)
         self.write_seg = self.read_seg + 1
-        self.forest = Forest(models, col_bases, width)
+        self.forest = Forest(models, col_bases, self.layout.width)
         self._memo: OrderedDict[tuple, _ConfigPlan] = OrderedDict()  # guarded-by: _memo_lock
         self._memo_lock = threading.Lock()
 
@@ -199,10 +157,7 @@ class PredictProgram:
         comb = self.logic_model.comb_model
         names = self.components
         plan = _ConfigPlan()
-        plan.hw_values = np.array([float(config[p]) for p in self.hw_param])
-        plan.divisors = np.array(
-            [1.0 if p is None else max(float(config[p]), 1.0) for p in self.ev_param]
-        )
+        plan.hardware = self.layout.hardware(config)
         p_reg = clock.library.p_reg_mw
         r = [clock.predict_register_count(name, config) for name in names]
         g = [clock.predict_gating_rate(name, config) for name in names]
@@ -230,26 +185,13 @@ class PredictProgram:
         return plan
 
     # -- evaluation ------------------------------------------------------
-    def features(self, plan: _ConfigPlan, events: EventBatch, workload) -> np.ndarray:
-        """The wide feature matrix of one config's ``plan``: every
-        sub-model's inputs, one row per interval."""
-        n = len(events)
-        x = np.empty((n, self.width))
-        x[:, self.hw_cols] = plan.hw_values
-        rates = events.matrix / events.cycles[:, None]
-        x[:, self.ev_cols] = rates[:, self.ev_src] / plan.divisors
-        if self.prog_cols.size:
-            prog = program_features_matrix(workload, n)
-            x[:, self.prog_cols] = np.tile(prog, self.prog_cols.size // prog.shape[1])
-        return x
-
     def groups(
         self, config: BoomConfig, events: EventBatch, workload
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(clock, sram, register, comb) power, each ``(n, components)``
         in mW; components without SRAM have zero SRAM power."""
         plan = self.plan(config)
-        pred = self.forest.predict(self.features(plan, events, workload))
+        pred = self.forest.predict(self.layout.features(plan.hardware, events, workload))
         alpha = np.maximum(pred[:, self.clock_seg], 0.0)
         clock = np.maximum(
             plan.clock_static + alpha * plan.clock_r * plan.clock_g, 0.0

@@ -29,8 +29,12 @@ from repro.arch.components import component_by_name, sram_components
 from repro.arch.config import BoomConfig
 from repro.arch.events import EventParams
 from repro.arch.workloads import Workload
+from repro.core.clock import DEFAULT_GBM
 from repro.core.features import (
+    FeatureLayout,
+    activity_block,
     event_features,
+    features_by_config,
     hardware_features,
     program_features,
 )
@@ -41,13 +45,6 @@ from repro.parallel import Executor, SerialExecutor
 from repro.vlsi.macro_mapping import MacroMapper
 
 __all__ = ["PredictedBlock", "SramPowerModel"]
-
-_DEFAULT_GBM = {
-    "n_estimators": 150,
-    "learning_rate": 0.08,
-    "max_depth": 3,
-    "reg_lambda": 1.0,
-}
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ class SramPowerModel:
         self.library = library
         self.mapper = mapper if mapper is not None else MacroMapper(library.sram)
         self.use_program_features = use_program_features
-        self.gbm_params = dict(_DEFAULT_GBM if gbm_params is None else gbm_params)
+        self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self.detector = ScalingPatternDetector(max_combination_size=3)
         self._positions: dict[str, _PositionModel] = {}
@@ -163,15 +160,19 @@ class SramPowerModel:
             name: tuple(pos) for name, pos in comp_positions.items()
         }
 
+        # One row per result; positions share their component's block.
+        program = self.use_program_features
+        layout = FeatureLayout([activity_block(name, program) for name in comp_positions])
+        blocks = layout.split(features_by_config(results, layout))
         position_names: list[str] = []
         payloads: list[dict] = []
-        for comp_name, pos_names in self._component_positions.items():
+        for (comp_name, pos_names), x in zip(self._component_positions.items(), blocks):
             params = component_by_name(comp_name).hardware_parameters
             for pos_name in pos_names:
                 position_names.append(pos_name)
                 payloads.append(
                     self._position_payload(
-                        comp_name, pos_name, params, config_results, results
+                        comp_name, pos_name, params, config_results, results, x
                     )
                 )
         models = executor.map(_fit_sram_position, payloads)
@@ -189,8 +190,9 @@ class SramPowerModel:
         params: tuple[str, ...],
         config_results: list,
         results: list,
+        x: np.ndarray,
     ) -> dict:
-        """Arrays and hyper-parameters of one position's fit task."""
+        """One position's fit task; ``x`` is its component's fit block."""
         # Hardware side: block shapes per training configuration.
         capacities, throughputs, widths = [], [], []
         param_values: dict[str, list[float]] = {p: [] for p in params}
@@ -202,12 +204,9 @@ class SramPowerModel:
             for p in params:
                 param_values[p].append(float(res.config[p]))
         # Activity side: golden block frequencies per (config, workload).
-        x_rows, read_labels, write_labels = [], [], []
+        read_labels, write_labels = [], []
         for res in results:
             act = res.activity.component(comp_name).positions[pos_name]
-            x_rows.append(
-                self._activity_features(res.config, res.events, res.workload, comp_name)
-            )
             read_labels.append(act.read_per_block_cycle)
             write_labels.append(act.write_per_block_cycle)
         return {
@@ -221,7 +220,7 @@ class SramPowerModel:
             "capacities": capacities,
             "throughputs": throughputs,
             "widths": widths,
-            "x": np.stack(x_rows),
+            "x": x,
             "read_labels": np.array(read_labels),
             "write_labels": np.array(write_labels),
         }

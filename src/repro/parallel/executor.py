@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -202,24 +203,26 @@ class _PooledExecutor(Executor):
 
     def __init__(self, n_jobs: int = 1) -> None:
         super().__init__(n_jobs)
-        self._pool = None
+        # One executor may be mapped from several threads (a service's).
+        self._pool_lock = threading.Lock()
+        self._pool = None  # guarded-by: _pool_lock
 
     def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._pool_factory(max_workers=self.n_jobs)
-        return self._pool
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = self._pool_factory(max_workers=self.n_jobs)
+            return self._pool
 
     def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        self._discard_pool(wait=True)
 
-    def _discard_pool(self) -> None:
-        """Drop a (possibly broken) pool without waiting on it."""
-        pool, self._pool = self._pool, None
+    def _discard_pool(self, wait: bool = False) -> None:
+        """Drop the pool; by default a (possibly broken) one, unwaited."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             try:
-                pool.shutdown(wait=False)
+                pool.shutdown(wait=wait)
             except Exception:  # pragma: no cover - interpreter teardown
                 pass
 

@@ -217,12 +217,9 @@ class ModelFleet:
             raise RuntimeError("use load() once the fleet is running")
         name = validate_model_name(name or self.default_model)
         if not self.service_kwargs:
-            # Inherit the seed service's fan-out knobs for later loads
-            # (guarded: fault-injection wrappers may not expose them).
-            self.service_kwargs = {
-                "n_jobs": getattr(service, "n_jobs", None),
-                "backend": getattr(service, "backend", "thread"),
-            }
+            # Inherit the seed service's fan-out for later loads
+            # (guarded: fault-injection wrappers may not expose it).
+            self.service_kwargs = {"n_jobs": getattr(service, "n_jobs", None)}
         entry = self._entry_for_service(name, service, source="init")
         self._entries[name] = entry
         return entry
@@ -411,6 +408,10 @@ class ModelFleet:
 # Numeric leaves merge_stats must not sum, matched by key at any depth.
 _MAX_LEAVES = frozenset({"max_flush_size"})
 _PER_WORKER_LEAVES = frozenset({"p50", "p95", "service_time_ms"})
+# Configured values every worker shares: kept when the workers agree.
+_CONFIG_LEAVES = frozenset(
+    {"queue_capacity", "default_deadline_ms", "max_models", "rate_per_s", "burst", "tokens"}
+)
 
 
 def merge_stats(snapshots: list[dict]) -> dict:
@@ -419,11 +420,12 @@ def merge_stats(snapshots: list[dict]) -> dict:
     Numeric leaves are summed (bools excluded), dicts merge recursively
     over the union of keys, and non-additive leaves (strings, bools,
     lists) keep the first worker's value when all workers agree and
-    collapse to ``None`` otherwise.  Three numeric gauges are not sums:
+    collapse to ``None`` otherwise.  These numeric leaves are not sums:
     ``max_flush_size`` takes the max, ``mean_flush_size`` is recomputed
-    from the merged ``flushed_requests`` / ``flushes``, and the latency
+    from the merged ``flushed_requests`` / ``flushes``, the latency
     percentiles and mean ``service_time_ms`` are ``None`` — they are
-    only meaningful per worker, so read them from the ``workers`` list.
+    only meaningful per worker, so read them from the ``workers`` list —
+    and configured values (``_CONFIG_LEAVES``) merge like strings.
     """
     snapshots = [s for s in snapshots if isinstance(s, dict)]
     if not snapshots:
@@ -440,7 +442,7 @@ def merge_stats(snapshots: list[dict]) -> dict:
             merged[key] = None
         elif all(isinstance(v, dict) for v in values):
             merged[key] = merge_stats(values)
-        elif all(
+        elif key not in _CONFIG_LEAVES and all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
             for v in values
         ):

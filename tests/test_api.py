@@ -459,11 +459,18 @@ class TestPredictionService:
         assert pair[1].total != pair[0].total
 
     def test_parallel_fanout_matches_serial(self, autopower2, requests):
-        serial = api.PredictionService(autopower2)
-        threaded = api.PredictionService(autopower2, n_jobs=2, backend="thread")
-        assert [r.total for r in threaded.submit_many(requests)] == [
-            r.total for r in serial.submit_many(requests)
-        ]
+        # The thread pool is built once per service: a second multi-config
+        # submission reuses the first one's, and both equal the serial run.
+        assert len({r.config.params_key for r in requests}) > 1
+        serial = api.PredictionService(autopower2, n_jobs=1)
+        threaded = api.PredictionService(autopower2, n_jobs=2)
+        want = np.array([r.total for r in serial.submit_many(requests)])
+        first = np.array([r.total for r in threaded.submit_many(requests)])
+        pool = threaded._executor._pool
+        second = np.array([r.total for r in threaded.submit_many(requests)])
+        assert pool is not None and threaded._executor._pool is pool
+        assert first.tobytes() == want.tobytes()
+        assert second.tobytes() == want.tobytes()
 
     def test_mixing_workload_presence_rejected(self, autopower2, requests):
         service = api.PredictionService(autopower2)

@@ -91,7 +91,11 @@ class TestMcPatCalib:
 
     def test_feature_names_align(self, calib, flow, c8):
         events = flow.run(c8, workload_by_name("qsort")).events
-        x = calib._features_batch(c8, EventBatch.from_events(events))
+        assert calib.layout.width == len(McPatCalib.feature_names())
+        batch = EventBatch.from_events(events)
+        x = calib.layout.features(
+            calib.layout.hardware(c8), batch, extra=calib._mcpat_total(c8, batch)
+        )
         assert x.shape == (1, len(McPatCalib.feature_names()))
 
 
@@ -103,13 +107,16 @@ class TestMcPatCalibComponent:
     def test_total_is_component_sum(self, calib_comp, flow, c8):
         events = flow.run(c8, workload_by_name("qsort")).events
         total = calib_comp.predict_total(c8, events)
-        x = calib_comp._features_batch(c8, EventBatch.from_events(events))
-        bases = calib_comp._bases()
-        assert bases[-1] == x.shape[1]
+        batch = EventBatch.from_events(events)
+        layout = calib_comp.layout
+        x = layout.features(
+            layout.hardware(c8), batch, extra=calib_comp._mcpat_components(c8, batch)
+        )
+        assert x.shape[1] == layout.width
         parts = 0.0
-        for comp, lo, hi in zip(COMPONENTS, bases, bases[1:]):
+        for comp, block in zip(COMPONENTS, layout.split(x)):
             model = calib_comp._models[comp.name]
-            parts += max(float(model.predict(x[:, lo:hi])[0]), 0.0)
+            parts += max(float(model.predict(block)[0]), 0.0)
         assert total == pytest.approx(parts)
 
     def test_requires_fit(self, flow, c8):

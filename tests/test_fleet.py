@@ -595,6 +595,23 @@ class TestMergeStats:
         assert gateway["latency_ms"]["p95"] is None
         assert merged["resilience"]["service_time_ms"] is None
 
+    def test_configured_values_are_not_summed(self):
+        # Every worker reports the configuration it was started with;
+        # two workers must not report double the configured values.
+        def worker(queue_capacity):
+            return {
+                "resilience": {"queue_capacity": queue_capacity, "default_deadline_ms": 250.0},
+                "fleet": {"max_models": 8},
+                "auth": {"tokens": 2, "rate_limit": {"rate_per_s": 5.0, "burst": 10}},
+            }
+
+        merged = merge_stats([worker(64), worker(64)])
+        assert merged == worker(64)
+        # Workers that disagree collapse to None, like other non-additive leaves.
+        split = merge_stats([worker(64), worker(32)])
+        assert split["resilience"]["queue_capacity"] is None
+        assert split["resilience"]["default_deadline_ms"] == 250.0
+
     def test_mean_flush_size_without_flushes_is_none(self):
         idle = {"flushes": 0, "flushed_requests": 0, "mean_flush_size": None}
         assert merge_stats([idle, dict(idle)])["mean_flush_size"] is None

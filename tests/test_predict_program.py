@@ -17,7 +17,6 @@ import pytest
 
 import repro.api as api
 import repro.ml.gbm as gbm_module
-from repro.api.service import _predict_totals_task
 from repro.arch.config import BOOM_CONFIGS, BoomConfig, config_by_name
 from repro.arch.events import EventBatch
 from repro.arch.workloads import WORKLOADS
@@ -193,7 +192,8 @@ class TestForest:
     def test_segments_equal_each_models_predict(self, autopower2, flow, c8, dhrystone):
         program = autopower2.compile()
         forest = program.forest
-        X = program.features(program.plan(c8), _anchors(flow, c8, dhrystone, 8), dhrystone)
+        batch = _anchors(flow, c8, dhrystone, 8)
+        X = program.layout.features(program.plan(c8).hardware, batch, dhrystone)
         got = forest.predict(X)
         models = _models(autopower2)
         assert len(models) == forest.n_segments == 94
@@ -288,6 +288,13 @@ class TestLifecycle:
         program.totals(renamed, batch, dhrystone)
         assert len(program._memo) == _MEMO_SIZE
         assert next(reversed(program._memo)) == renamed.params_key
+
+
+def _predict_totals_task(payload: dict) -> np.ndarray:
+    """One totals call; module-level, so a process pool can pickle it."""
+    return payload["model"].predict_totals(
+        payload["config"], payload["batch"], payload["workload"]
+    )
 
 
 class TestConcurrency:
