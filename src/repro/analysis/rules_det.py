@@ -19,9 +19,12 @@ breaks:
   comprehension over a set): set order is salted per process, so the
   output ordering differs run to run.  Sort first (``sorted(set(x))``).
 
-Scope: ``repro.ml``, ``repro.core``, ``repro.baselines``, and
-``repro.dse.cache`` (the content-addressed key builder) — the layers
-whose outputs are hashed, persisted, or compared byte-for-byte.
+Scope: ``repro.ml``, ``repro.core``, ``repro.baselines``,
+``repro.dse.cache`` (the content-addressed key builder) and the flow
+stages that produce the ground truth (``repro.arch``, ``repro.library``,
+``repro.rtl``, ``repro.synthesis``, ``repro.sim``, ``repro.power``,
+``repro.vlsi``) — the layers whose outputs are hashed into flow-cache
+entries, persisted, or compared byte-for-byte.
 Serving-side telemetry legitimately wants wall-clock time, so
 ``repro.serving`` is deliberately out of scope.
 """
@@ -39,6 +42,15 @@ DETERMINISTIC_PREFIXES = (
     "repro.core",
     "repro.baselines",
     "repro.dse.cache",
+    # The flow stages: their outputs are the ground truth and the
+    # content of every flow-cache entry.
+    "repro.arch",
+    "repro.library",
+    "repro.rtl",
+    "repro.synthesis",
+    "repro.sim",
+    "repro.power",
+    "repro.vlsi",
 )
 
 # RNG factories that are deterministic *only* when given a seed.

@@ -13,12 +13,17 @@ distorted by
 * small reproducible noise.
 
 All distortions are seeded from stable string hashes, so a given
-(config, workload) pair always yields the same event report.
+(config, workload) pair always yields the same event report.  The bias
+and the width drift depend only on the workload, the DecodeWidth and the
+simulator's magnitudes, so they are drawn once per such key and reused
+(:func:`_systematic_bias`); only the noise is drawn on every call, seeded
+per (config, workload, event).
 """
 
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +57,32 @@ _PIPELINE_EVENTS = frozenset(
 def stable_seed(*parts: str) -> int:
     """Deterministic 32-bit seed from string parts (process-independent)."""
     return zlib.crc32("|".join(parts).encode())
+
+
+@lru_cache(maxsize=256, typed=True)
+def _systematic_bias(
+    workload_name: str, decode_width: int, bias_magnitude: float, width_drift: float
+) -> tuple[float, ...]:
+    """Per-event systematic bias (plus width drift), in ``EVENT_NAMES`` order.
+
+    A function of its arguments alone, so it is memoized at module level:
+    the simulator's instance state, and with it the flow fingerprint,
+    stays free of it.  ``typed`` keeps e.g. an ``np.int64`` DecodeWidth
+    from sharing an entry with the equal ``int``: the drift's result type
+    follows the argument types, and event counts are pickled bytewise.
+    """
+    biases = []
+    for name in EVENT_NAMES:
+        bias_rng = np.random.default_rng(stable_seed("gem5-bias", workload_name, name))
+        bias = bias_rng.uniform(-bias_magnitude, bias_magnitude)
+        if name in _PIPELINE_EVENTS:
+            drift_rng = np.random.default_rng(
+                stable_seed("gem5-drift", workload_name, name)
+            )
+            direction = 1.0 if drift_rng.random() < 0.5 else -1.0
+            bias += direction * width_drift * max(decode_width - 3, 0)
+        biases.append(bias)
+    return tuple(biases)
 
 
 class PerfSimulator:
@@ -91,19 +122,14 @@ class PerfSimulator:
     def distort(self, true: TrueExecution, config: BoomConfig) -> EventParams:
         """Apply the simulator's systematic error to a true execution."""
         counts: dict[str, float] = {}
-        dw = config["DecodeWidth"]
-        for name in EVENT_NAMES:
+        biases = _systematic_bias(
+            true.workload_name,
+            config["DecodeWidth"],
+            self.bias_magnitude,
+            self.width_drift,
+        )
+        for name, bias in zip(EVENT_NAMES, biases):
             value = true.events[name]
-            bias_rng = np.random.default_rng(
-                stable_seed("gem5-bias", true.workload_name, name)
-            )
-            bias = bias_rng.uniform(-self.bias_magnitude, self.bias_magnitude)
-            if name in _PIPELINE_EVENTS:
-                drift_rng = np.random.default_rng(
-                    stable_seed("gem5-drift", true.workload_name, name)
-                )
-                direction = 1.0 if drift_rng.random() < 0.5 else -1.0
-                bias += direction * self.width_drift * max(dw - 3, 0)
             noise_rng = np.random.default_rng(
                 stable_seed("gem5-noise", true.config_name, true.workload_name, name)
             )

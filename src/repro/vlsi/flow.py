@@ -61,6 +61,14 @@ class FlowResult:
     power: PowerReport
 
 
+def _config_key(config: BoomConfig) -> tuple:
+    """In-process cache identity of a configuration: its name *and* its
+    parameters.  The name alone would hand a second config that reuses it
+    the first one's design and results; the name stays in the key because
+    the perf simulator's noise and the activity quirks are seeded by it."""
+    return (config.name, config.params_key)
+
+
 def _run_config_task(
     flow: VlsiFlow, task: tuple[BoomConfig, tuple[Workload, ...]]
 ) -> list["FlowResult"]:
@@ -118,25 +126,25 @@ class VlsiFlow:
         # in-process caches nor disk hits increment it.
         self.executions = 0
         self._fingerprint: str | None = None
-        self._designs: dict[str, RtlDesign] = {}
-        self._netlists: dict[str, Netlist] = {}
-        self._runs: dict[tuple[str, str], FlowResult] = {}
-        self._executions: dict[tuple[str, str], TrueExecution] = {}
+        self._designs: dict[tuple, RtlDesign] = {}
+        self._netlists: dict[tuple, Netlist] = {}
+        self._runs: dict[tuple, FlowResult] = {}
+        self._executions: dict[tuple, TrueExecution] = {}
 
     # ------------------------------------------------------------------
     def design(self, config: BoomConfig) -> RtlDesign:
         """Elaborated RTL for a configuration (cached)."""
-        if config.name not in self._designs:
-            self._designs[config.name] = self.generator.generate(config)
-        return self._designs[config.name]
+        key = _config_key(config)
+        if key not in self._designs:
+            self._designs[key] = self.generator.generate(config)
+        return self._designs[key]
 
     def netlist(self, config: BoomConfig) -> Netlist:
         """Synthesized netlist for a configuration (cached)."""
-        if config.name not in self._netlists:
-            self._netlists[config.name] = self.synthesizer.synthesize(
-                self.design(config)
-            )
-        return self._netlists[config.name]
+        key = _config_key(config)
+        if key not in self._netlists:
+            self._netlists[key] = self.synthesizer.synthesize(self.design(config))
+        return self._netlists[key]
 
     def true_execution(self, config: BoomConfig, workload: Workload) -> TrueExecution:
         """True execution for a (config, workload) pair (cached).
@@ -144,7 +152,7 @@ class VlsiFlow:
         ``execute`` is deterministic in its inputs, so one run serves both
         the full flow and every scale point of a windowed-trace sweep.
         """
-        key = (config.name, workload.name)
+        key = (*_config_key(config), workload.name)
         if key not in self._executions:
             self._executions[key] = execute(config, workload)
         return self._executions[key]
@@ -166,28 +174,24 @@ class VlsiFlow:
             )
         return self._fingerprint
 
-    def _disk_key(self, config: BoomConfig, workload: Workload) -> str:
-        return content_key(self.fingerprint(), config, workload)
-
-    def _disk_get(
-        self, config: BoomConfig, workload: Workload
-    ) -> FlowResult | None:
+    def _disk_key(self, config: BoomConfig, workload: Workload) -> str | None:
+        """The pair's disk-cache key, or ``None`` without a disk cache."""
         if self.disk_cache is None:
             return None
-        cached = self.disk_cache.get(self._disk_key(config, workload))
-        return cached if isinstance(cached, FlowResult) else None
+        return content_key(self.fingerprint(), config, workload)
 
-    def _disk_put(
-        self, config: BoomConfig, workload: Workload, result: FlowResult
-    ) -> None:
-        if self.disk_cache is not None:
-            self.disk_cache.put(self._disk_key(config, workload), result)
+    def _disk_get(self, disk_key: str | None) -> FlowResult | None:
+        if disk_key is None:
+            return None
+        cached = self.disk_cache.get(disk_key)
+        return cached if isinstance(cached, FlowResult) else None
 
     def run(self, config: BoomConfig, workload: Workload) -> FlowResult:
         """Full flow for one (config, workload) pair (cached)."""
-        key = (config.name, workload.name)
+        key = (*_config_key(config), workload.name)
         if key not in self._runs:
-            cached = self._disk_get(config, workload)
+            disk_key = self._disk_key(config, workload)
+            cached = self._disk_get(disk_key)
             if cached is not None:
                 self._merge_result(config, workload, cached)
                 return self._runs[key]
@@ -218,7 +222,8 @@ class VlsiFlow:
             # (disk / worker-merged) results byte-identical to cold ones.
             result = pickle.loads(pickle.dumps(result))
             self._runs[key] = result
-            self._disk_put(config, workload, result)
+            if disk_key is not None:
+                self.disk_cache.put(disk_key, result)
         return self._runs[key]
 
     def run_many(
@@ -249,16 +254,17 @@ class VlsiFlow:
             # still grouped per config so each worker elaborates and
             # synthesizes a design at most once.
             pending: list[tuple[BoomConfig, tuple[Workload, ...]]] = []
-            seen: set[str] = set()
+            seen: set[tuple] = set()
             for c in configs:
-                if c.name in seen:
+                config_key = _config_key(c)
+                if config_key in seen:
                     continue
-                seen.add(c.name)
+                seen.add(config_key)
                 missing = []
                 for w in workloads:
-                    if (c.name, w.name) in self._runs:
+                    if (*config_key, w.name) in self._runs:
                         continue
-                    cached = self._disk_get(c, w)
+                    cached = self._disk_get(self._disk_key(c, w))
                     if cached is not None:
                         self._merge_result(c, w, cached)
                     else:
@@ -295,9 +301,10 @@ class VlsiFlow:
         self, config: BoomConfig, workload: Workload, res: FlowResult
     ) -> None:
         """Adopt a worker-produced run into this flow's caches."""
-        key = (config.name, workload.name)
-        self._designs.setdefault(config.name, res.design)
-        self._netlists.setdefault(config.name, res.netlist)
+        config_key = _config_key(config)
+        key = (*config_key, workload.name)
+        self._designs.setdefault(config_key, res.design)
+        self._netlists.setdefault(config_key, res.netlist)
         self._executions.setdefault(key, res.true)
         self._runs.setdefault(key, res)
 

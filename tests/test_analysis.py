@@ -189,6 +189,14 @@ class TestDeterminismRules:
         )
         assert rule_ids(findings) == ["DET003"]
 
+    def test_flow_stages_are_in_scope(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "src/repro/sim/p.py",
+            "import numpy as np\nrng = np.random.default_rng()\n",
+        )
+        assert rule_ids(findings) == ["DET001"]
+
     def test_scope_excludes_serving_and_scripts(self, tmp_path):
         source = "import time\nstamp = time.time()\n"
         assert lint_snippet(tmp_path, "src/repro/serving/t.py", source) == []

@@ -259,6 +259,21 @@ class TestFlowCacheMerge:
             pickle.dumps(r) for r in cached
         ]
 
+    def test_fingerprint_is_pinned(self):
+        # Every flow-cache key hashes this fingerprint; changing it orphans
+        # every existing on-disk entry.  Running the perf simulator must
+        # not change it either: its bias memo lives outside the instance
+        # state the fingerprint hashes.
+        pinned = "5c08e9db9bc0828121c7d9cdb5fef4bcd35140b9b1f980e4373a11faf5096685"
+        assert VlsiFlow().fingerprint() == pinned
+        flow = VlsiFlow(disk_cache=None)
+        state = dict(vars(flow.perf))
+        for config in ("C2", "C13"):
+            for workload in ("qsort", "towers", "gemm"):
+                flow.perf.run(config_by_name(config), workload_by_name(workload))
+        assert vars(flow.perf) == state
+        assert VlsiFlow(perf=flow.perf, disk_cache=None).fingerprint() == pinned
+
     def test_distinct_fingerprints_partition_the_store(self):
         assert VlsiFlow().fingerprint() == VlsiFlow().fingerprint()
         assert (

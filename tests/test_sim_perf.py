@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.arch.config import config_by_name
+from repro.arch.config import BOOM_CONFIGS, BoomConfig, config_by_name
 from repro.arch.events import EVENT_NAMES
-from repro.arch.workloads import workload_by_name
-from repro.sim.perf import PerfSimulator, stable_seed
+from repro.arch.workloads import WORKLOADS, workload_by_name
+from repro.sim.perf import _PIPELINE_EVENTS, PerfSimulator, stable_seed
 from repro.sim.uarch import execute
 
 
@@ -78,3 +78,75 @@ class TestPerfSimulator:
     def test_negative_magnitudes_rejected(self):
         with pytest.raises(ValueError):
             PerfSimulator(bias_magnitude=-0.1)
+
+
+def reference_distort(sim, true, config):
+    """The per-event RNG loop ``distort`` memoizes, kept as its reference:
+    bias, drift and noise drawn from fresh seeded RNGs for every event."""
+    counts = {}
+    dw = config["DecodeWidth"]
+    for name in EVENT_NAMES:
+        value = true.events[name]
+        bias_rng = np.random.default_rng(
+            stable_seed("gem5-bias", true.workload_name, name)
+        )
+        bias = bias_rng.uniform(-sim.bias_magnitude, sim.bias_magnitude)
+        if name in _PIPELINE_EVENTS:
+            drift_rng = np.random.default_rng(
+                stable_seed("gem5-drift", true.workload_name, name)
+            )
+            direction = 1.0 if drift_rng.random() < 0.5 else -1.0
+            bias += direction * sim.width_drift * max(dw - 3, 0)
+        noise_rng = np.random.default_rng(
+            stable_seed("gem5-noise", true.config_name, true.workload_name, name)
+        )
+        noise = noise_rng.normal(0.0, sim.noise_magnitude)
+        counts[name] = max(value * (1.0 + bias + noise), 0.0)
+    counts["cycles"] = max(counts["cycles"], 1.0)
+    return counts
+
+
+class TestDistortMatchesReference:
+    """``distort`` reads bias and drift from a memo; every count must
+    still equal the per-event reference loop exactly."""
+
+    DEFAULT = PerfSimulator()
+    OTHER = PerfSimulator(bias_magnitude=0.03, width_drift=0.02)
+    EXACT = PerfSimulator(bias_magnitude=0.0, noise_magnitude=0.0, width_drift=0.0)
+
+    @staticmethod
+    def _assert_bitwise(sim, config, workload):
+        true = execute(config, workload)
+        got = sim.distort(true, config).counts
+        want = reference_distort(sim, true, config)
+        assert list(got) == list(want)
+        for name in EVENT_NAMES:
+            assert got[name] == want[name], (config.name, workload.name, name)
+            assert type(got[name]) is type(want[name])
+
+    @pytest.mark.parametrize("config", BOOM_CONFIGS, ids=lambda c: c.name)
+    def test_table_ii_configs_all_workloads(self, config):
+        for workload in WORKLOADS:
+            self._assert_bitwise(self.DEFAULT, config, workload)
+
+    @pytest.mark.parametrize("sim", [OTHER, EXACT], ids=["other", "exact"])
+    def test_non_default_magnitudes(self, sim):
+        for config in BOOM_CONFIGS:
+            self._assert_bitwise(sim, config, workload_by_name("qsort"))
+
+    def test_alternating_simulators_do_not_share_a_memo_entry(self):
+        # Interleave magnitudes on the same (workload, DecodeWidth), so a
+        # memo key that drops a magnitude returns the other's biases.
+        workload = workload_by_name("median")
+        for config in (config_by_name("C13"), config_by_name("C2")):
+            for sim in (self.DEFAULT, self.OTHER, self.DEFAULT, self.EXACT, self.OTHER):
+                self._assert_bitwise(sim, config, workload)
+
+    def test_numpy_decode_width_keeps_its_result_type(self):
+        # The drift's result type follows DecodeWidth's type; a memo entry
+        # shared between an int and an equal np.int64 would change bytes.
+        base = config_by_name("C13")
+        workload = workload_by_name("towers")
+        for value in (base["DecodeWidth"], np.int64(base["DecodeWidth"])):
+            config = BoomConfig(base.name, {**base.params, "DecodeWidth": value})
+            self._assert_bitwise(self.DEFAULT, config, workload)

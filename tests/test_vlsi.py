@@ -1,10 +1,13 @@
 """Unit tests for repro.vlsi: macro mapping and the end-to-end flow."""
 
+import pickle
+
 import pytest
 
-from repro.arch.config import config_by_name
+from repro.arch.config import BoomConfig, config_by_name
 from repro.arch.workloads import workload_by_name
 from repro.library.sram_compiler import SramCompiler
+from repro.parallel import get_executor
 from repro.vlsi.flow import VlsiFlow
 from repro.vlsi.macro_mapping import MacroMapper
 
@@ -94,3 +97,40 @@ class TestVlsiFlow:
         b = VlsiFlow().run(config_by_name("C4"), workload_by_name("vvadd"))
         assert a.power.total == pytest.approx(b.power.total)
         assert a.events.counts == b.events.counts
+
+
+class TestConfigIdentity:
+    """The in-process caches key a config by its name *and* parameters:
+    a second config that reuses a name must not get the first's results."""
+
+    @staticmethod
+    def _imposter():
+        # C14's parameters under C8's name.
+        return BoomConfig("C8", dict(config_by_name("C14").params))
+
+    def test_reused_name_gets_its_own_design_and_power(self):
+        c8, imposter = config_by_name("C8"), self._imposter()
+        w = workload_by_name("qsort")
+        flow = VlsiFlow(disk_cache=None)
+        original = flow.run(c8, w)
+        got = flow.run(imposter, w)
+        fresh = VlsiFlow(disk_cache=None).run(imposter, w)
+        assert pickle.dumps(got) == pickle.dumps(fresh)
+        assert got.power.total != original.power.total
+        assert flow.design(imposter) is not flow.design(c8)
+        assert flow.netlist(imposter) is not flow.netlist(c8)
+        assert flow.run(c8, w) is original
+
+    def test_run_many_keeps_both_configs(self):
+        c8, imposter = config_by_name("C8"), self._imposter()
+        workloads = [workload_by_name("qsort"), workload_by_name("towers")]
+        serial = [
+            VlsiFlow(disk_cache=None).run_many([c], workloads)
+            for c in (c8, imposter)
+        ]
+        merged = VlsiFlow(disk_cache=None).run_many(
+            [c8, imposter], workloads, executor=get_executor(2, "thread")
+        )
+        assert [pickle.dumps(r) for r in merged] == [
+            pickle.dumps(r) for r in serial[0] + serial[1]
+        ]
