@@ -114,13 +114,14 @@ def test_fit_scaling_serial(benchmark):
 
 @pytest.mark.perf_smoke
 def test_fit_scaling_jobs(benchmark, bench_jobs):
-    """The same fan-out at ``--jobs N`` (thread backend, n_jobs=1 = serial).
+    """The same fan-out at ``--jobs N`` on the fits' thread pool (serial
+    at one worker or one core).
 
     Fitted models must be numerically identical to the serial reference —
     the executor contract the equivalence suite checks on the real model.
     """
     payloads = _fanout_payloads()
-    executor = get_executor(bench_jobs, "thread" if bench_jobs > 1 else "serial")
+    executor = get_executor(bench_jobs, "thread")
     reference = SerialExecutor().map(_fit_fanout_task, payloads)
 
     models = benchmark(executor.map, _fit_fanout_task, payloads)

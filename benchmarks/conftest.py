@@ -37,7 +37,7 @@ def pytest_addoption(parser):
         "--jobs",
         type=int,
         default=1,
-        help="worker count for the parallel fit-scaling benchmarks",
+        help="worker count of the fit-scaling benchmark's thread pool",
     )
     parser.addoption(
         "--bench-json",

@@ -40,7 +40,13 @@ def _fit_group_gbm(payload: dict) -> GradientBoostingRegressor:
 
 
 class AutoPowerMinus:
-    """Per-group direct ML power model (no within-group decoupling)."""
+    """Per-group direct ML power model (no within-group decoupling).
+
+    ``n_jobs`` is the default worker count of ``fit``, resolved as for
+    :class:`repro.core.autopower.AutoPower`: the ground-truth flow runs
+    fan out over processes and the 88 independent GBM fits over threads,
+    with results numerically identical to the serial fit.
+    """
 
     def __init__(
         self,
@@ -48,13 +54,11 @@ class AutoPowerMinus:
         gbm_params: dict | None = None,
         random_state: int = 0,
         n_jobs: int | None = None,
-        executor_backend: str | None = None,
     ) -> None:
         self.use_program_features = use_program_features
         self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self.n_jobs = n_jobs
-        self.executor_backend = executor_backend
         # Per component, in ``COMPONENTS`` order: hardware parameters, raw
         # and normalized event rates, IPC, then program features.
         self.layout = FeatureLayout(
@@ -65,36 +69,18 @@ class AutoPowerMinus:
 
     # ------------------------------------------------------------------
     def fit(
-        self,
-        flow,
-        train_configs,
-        workloads,
-        n_jobs: int | None = None,
-        backend: str | None = None,
+        self, flow, train_configs, workloads, n_jobs: int | None = None
     ) -> AutoPowerMinus:
-        executor = self._executor(n_jobs, backend)
-        results = flow.run_many(
-            list(train_configs), list(workloads), executor=executor
-        )
-        return self.fit_results(results, executor=executor)
-
-    def _executor(self, n_jobs: int | None, backend: str | None):
-        return get_executor(
-            self.n_jobs if n_jobs is None else n_jobs,
-            self.executor_backend if backend is None else backend,
-        )
+        n_jobs = self.n_jobs if n_jobs is None else n_jobs
+        results = flow.run_many(list(train_configs), list(workloads), n_jobs=n_jobs)
+        return self.fit_results(results, n_jobs=n_jobs)
 
     def fit_results(
-        self,
-        results: list,
-        n_jobs: int | None = None,
-        backend: str | None = None,
-        executor=None,
+        self, results: list, n_jobs: int | None = None
     ) -> AutoPowerMinus:
         if not results:
             raise ValueError("cannot fit on an empty result list")
-        if executor is None:
-            executor = self._executor(n_jobs, backend)
+        n_jobs = self.n_jobs if n_jobs is None else n_jobs
         wide = features_by_config(results, self.layout)
         keys: list[tuple[str, str]] = []
         payloads: list[dict] = []
@@ -112,7 +98,8 @@ class AutoPowerMinus:
                         "y": y,
                     }
                 )
-        models = executor.map(_fit_group_gbm, payloads)
+        with get_executor(n_jobs, "thread") as executor:
+            models = executor.map(_fit_group_gbm, payloads)
         self._models = dict(zip(keys, models))
         self._compile()
         return self

@@ -45,7 +45,7 @@ from repro.experiments import (
     table1_example,
     table4_trace,
 )
-from repro.parallel import get_default_jobs, set_default_jobs
+from repro.parallel import get_default_jobs, resolve_jobs, set_default_jobs
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -901,6 +901,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
+    try:
+        resolve_jobs(args.jobs)  # a malformed REPRO_JOBS fails here, not mid-run
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     names = sorted(set(EXPERIMENTS) - {"fig5"}) if args.experiment == "all" else [args.experiment]
     previous_jobs = get_default_jobs()
     if args.jobs is not None:

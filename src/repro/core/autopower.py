@@ -19,11 +19,12 @@ from repro.arch.config import BoomConfig
 from repro.arch.events import EVENT_NAMES, EventBatch, EventParams
 from repro.arch.workloads import Workload
 from repro.core.clock import ClockPowerModel
+from repro.core.features import group_by_config
 from repro.core.logic import LogicPowerModel
 from repro.core.program import PredictProgram
 from repro.core.sram import SramPowerModel
 from repro.library.stdcell import TechLibrary, default_library
-from repro.parallel import Executor, get_executor
+from repro.parallel import get_executor
 from repro.power.report import ComponentPower, PowerReport
 from repro.vlsi.macro_mapping import MacroMapper
 
@@ -83,12 +84,13 @@ class AutoPower:
         activity model (paper default: on).
     ridge_alpha / gbm_params / random_state:
         Shared hyper-parameters for the linear and boosted sub-models.
-    n_jobs / executor_backend:
-        Default parallelism of ``fit``: worker count (``None`` defers to
-        the CLI ``--jobs`` / ``REPRO_JOBS`` setting, ``<= 0`` means all
-        cores) and backend (``auto``/``serial``/``thread``/``process``).
-        The ~90 per-component sub-model fits are independent; results are
-        numerically identical on every backend.
+    n_jobs:
+        Default worker count of ``fit`` (``None`` defers to the CLI
+        ``--jobs`` / ``REPRO_JOBS`` setting, ``<= 0`` means all cores).
+        The ground-truth flow runs fan out over processes (the flow is
+        pure Python) and the ~90 independent sub-model fits over threads
+        (the fit kernel releases the GIL); results are numerically
+        identical to the serial fit.
     """
 
     def __init__(
@@ -100,11 +102,9 @@ class AutoPower:
         gbm_params: dict | None = None,
         random_state: int = 0,
         n_jobs: int | None = None,
-        executor_backend: str | None = None,
     ) -> None:
         self.library = library if library is not None else default_library()
         self.n_jobs = n_jobs
-        self.executor_backend = executor_backend
         self.mapper = mapper if mapper is not None else MacroMapper(self.library.sram)
         self.clock_model = ClockPowerModel(
             self.library, ridge_alpha, gbm_params, random_state
@@ -122,56 +122,32 @@ class AutoPower:
         self._fitted = False
 
     # ------------------------------------------------------------------
-    def _executor(
-        self, n_jobs: int | None = None, backend: str | None = None
-    ) -> Executor:
-        """The fit executor for an (optional) per-call override."""
-        return get_executor(
-            self.n_jobs if n_jobs is None else n_jobs,
-            self.executor_backend if backend is None else backend,
-        )
-
     def fit(
-        self,
-        flow,
-        train_configs,
-        workloads,
-        n_jobs: int | None = None,
-        backend: str | None = None,
+        self, flow, train_configs, workloads, n_jobs: int | None = None
     ) -> AutoPower:
         """Train all sub-models from the flow outputs of known configs.
 
         ``flow`` is a :class:`repro.vlsi.flow.VlsiFlow`; it is only ever
-        invoked on the *training* configurations.  ``n_jobs``/``backend``
-        override the instance-level parallelism for both the ground-truth
-        flow runs and the sub-model fits.
+        invoked on the *training* configurations.  ``n_jobs`` overrides
+        the instance-level worker count for both the ground-truth flow
+        runs and the sub-model fits.
         """
-        executor = self._executor(n_jobs, backend)
-        results = flow.run_many(
-            list(train_configs), list(workloads), executor=executor
-        )
-        return self.fit_results(results, executor=executor)
+        n_jobs = self.n_jobs if n_jobs is None else n_jobs
+        results = flow.run_many(list(train_configs), list(workloads), n_jobs=n_jobs)
+        return self.fit_results(results, n_jobs=n_jobs)
 
-    def fit_results(
-        self,
-        results: list,
-        n_jobs: int | None = None,
-        backend: str | None = None,
-        executor: Executor | None = None,
-    ) -> AutoPower:
+    def fit_results(self, results: list, n_jobs: int | None = None) -> AutoPower:
         """Train from precomputed flow results (train configs only)."""
         if not results:
             raise ValueError("cannot fit on an empty result list")
-        if executor is None:
-            executor = self._executor(n_jobs, backend)
-        self.clock_model.fit(results, executor=executor)
-        self.sram_model.fit(results, executor=executor)
-        self.logic_model.fit(results, executor=executor)
-        seen: list[str] = []
-        for res in results:
-            if res.config.name not in seen:
-                seen.append(res.config.name)
-        self.train_config_names = tuple(seen)
+        n_jobs = self.n_jobs if n_jobs is None else n_jobs
+        with get_executor(n_jobs, "thread") as executor:
+            self.clock_model.fit(results, executor=executor)
+            self.sram_model.fit(results, executor=executor)
+            self.logic_model.fit(results, executor=executor)
+        self.train_config_names = tuple(
+            results[rows[0]].config.name for rows in group_by_config(results)
+        )
         self._program = None  # a refit recompiles
         self._fitted = True
         return self

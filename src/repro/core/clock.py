@@ -30,6 +30,7 @@ from repro.core.features import (
     FeatureLayout,
     event_features,
     features_by_config,
+    group_by_config,
     hardware_features,
     normalized_block,
     polynomial_hardware_features,
@@ -66,7 +67,7 @@ def _fit_clock_component(payload: dict) -> _ComponentClockModel:
 
     A module-level function of plain arrays and hyper-parameters — the
     picklable task the executor fans out; the payload carries its own
-    ``random_state``, so the result is backend-independent.
+    ``random_state``, so the result does not depend on the executor.
     """
     model = _ComponentClockModel(
         payload["ridge_alpha"], payload["gbm_params"], payload["random_state"]
@@ -116,7 +117,7 @@ class ClockPowerModel:
         effective-active-rate labels come from inverting Eq. 7 on golden
         clock power (one sample per config x workload).  The per-component
         fits are independent and run through ``executor`` (serial by
-        default) with numerically identical results on every backend.
+        default) with numerically identical results on every executor.
         """
         if not results:
             raise ValueError("cannot fit on an empty result list")
@@ -125,10 +126,7 @@ class ClockPowerModel:
         # One row per result; each component reads its normalized block.
         layout = FeatureLayout([normalized_block(c.name) for c in COMPONENTS])
         blocks = layout.split(features_by_config(results, layout))
-        first: dict[str, object] = {}
-        for res in results:
-            first.setdefault(res.config.name, res)
-        config_results = list(first.values())
+        config_results = [results[rows[0]] for rows in group_by_config(results)]
         payloads = [
             self._component_payload(component.name, results, config_results, x)
             for component, x in zip(COMPONENTS, blocks)

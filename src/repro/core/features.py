@@ -36,6 +36,7 @@ __all__ = [
     "event_features",
     "event_features_batch",
     "features_by_config",
+    "group_by_config",
     "hardware_feature_names",
     "hardware_features",
     "normalized_block",
@@ -308,18 +309,28 @@ class FeatureLayout:
         return [x[:, lo : lo + width] for lo, width in self.spans]
 
 
-def features_by_config(results, layout: FeatureLayout, extra=None) -> np.ndarray:
-    """The ``layout`` matrix of flow ``results``, one row per result.
+def group_by_config(results) -> list[list[int]]:
+    """Indices of flow ``results`` per configuration, in first-seen order.
 
-    Results are grouped by configuration content (``params_key``); each
-    group is one gather, scattered back in result order.
-    ``extra(config, batch)`` fills the layout's caller-filled columns.
+    A configuration is its name *and* its parameters (``params_key``), the
+    identity the flow caches by: two configs sharing a name but not their
+    parameters are two groups.
     """
     groups: dict[tuple, list[int]] = {}
     for i, res in enumerate(results):
-        groups.setdefault(res.config.params_key, []).append(i)
+        groups.setdefault((res.config.name, res.config.params_key), []).append(i)
+    return list(groups.values())
+
+
+def features_by_config(results, layout: FeatureLayout, extra=None) -> np.ndarray:
+    """The ``layout`` matrix of flow ``results``, one row per result.
+
+    Each :func:`group_by_config` group is one gather, scattered back in
+    result order.  ``extra(config, batch)`` fills the layout's
+    caller-filled columns.
+    """
     x = np.empty((len(results), layout.width))
-    for rows in groups.values():
+    for rows in group_by_config(results):
         batch = EventBatch.from_events([results[i].events for i in rows])
         workloads = [results[i].workload for i in rows]
         x[rows] = layout.config_features(results[rows[0]].config, batch, workloads, extra)

@@ -24,6 +24,7 @@ from repro.core.features import (
     FeatureLayout,
     event_features,
     features_by_config,
+    group_by_config,
     hardware_features,
     normalized_block,
     polynomial_hardware_features,
@@ -96,10 +97,7 @@ class RegisterPowerModel:
             raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = SerialExecutor()
-        first: dict[str, object] = {}
-        for res in results:
-            first.setdefault(res.config.name, res)
-        config_results = list(first.values())
+        config_results = [results[rows[0]] for rows in group_by_config(results)]
         payloads = [
             self._component_payload(component.name, results, config_results, x)
             for component, x in zip(COMPONENTS, _he_blocks(results))
@@ -177,9 +175,7 @@ class CombPowerModel:
             raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = SerialExecutor()
-        by_config: dict[str, list[int]] = {}
-        for i, res in enumerate(results):
-            by_config.setdefault(res.config.name, []).append(i)
+        by_config = group_by_config(results)
         payloads = [
             self._component_payload(component.name, results, by_config, x)
             for component, x in zip(COMPONENTS, _he_blocks(results))
@@ -192,11 +188,11 @@ class CombPowerModel:
         return self
 
     def _component_payload(
-        self, name: str, results: list, by_config: dict, x: np.ndarray
+        self, name: str, results: list, by_config: list, x: np.ndarray
     ) -> dict:
         # Stable power: average combinational power across workloads.
         h_rows, sta_labels = [], []
-        for indices in by_config.values():
+        for indices in by_config:
             powers = [results[i].power.component(name).comb for i in indices]
             stable = float(np.mean(powers))
             h_rows.append(polynomial_hardware_features(results[indices[0]].config, name))
@@ -204,7 +200,7 @@ class CombPowerModel:
 
         # Variation: per-workload ratio to the stable power.
         rows, var_labels = [], []
-        for indices, stable in zip(by_config.values(), sta_labels):
+        for indices, stable in zip(by_config, sta_labels):
             if stable <= 0:
                 continue
             for i in indices:

@@ -35,6 +35,7 @@ from repro.core.features import (
     activity_block,
     event_features,
     features_by_config,
+    group_by_config,
     hardware_features,
     program_features,
 )
@@ -139,16 +140,13 @@ class SramPowerModel:
 
         The per-position fits (scaling laws + read/write GBMs) are
         independent pure tasks and run through ``executor`` (serial by
-        default) with numerically identical results on every backend.
+        default) with numerically identical results on every executor.
         """
         if not results:
             raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = SerialExecutor()
-        by_config: dict[str, object] = {}
-        for res in results:
-            by_config.setdefault(res.config.name, res)
-        config_results = list(by_config.values())
+        config_results = [results[rows[0]] for rows in group_by_config(results)]
 
         # Discover positions from the training designs (architecture-visible).
         first_design = config_results[0].design

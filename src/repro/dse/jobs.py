@@ -260,10 +260,10 @@ class DseJob:
             self._finish("failed", f"{type(exc).__name__}: {exc}")
 
     def _run_golden(self, flow, configs, workloads) -> list[dict] | None:
-        # One executor for the whole sweep: pooled backends keep their
-        # workers alive across chunks, so chunking costs progress
-        # granularity, not pool spin-ups.
-        with get_executor(self.spec["jobs"]) as executor:
+        # One process pool for the whole sweep (the flow is pure Python):
+        # it keeps its workers alive across chunks, so chunking costs
+        # progress granularity, not pool spin-ups.
+        with get_executor(self.spec["jobs"], "process") as executor:
             chunk = self.spec["chunk"]
             for start in range(0, len(configs), chunk):
                 if self.cancelled():

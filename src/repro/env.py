@@ -78,11 +78,11 @@ REPRO_JOBS = _declare(
     "REPRO_JOBS",
     "str",
     None,
-    "Default parallelism for flow runs and sub-model fits: a worker "
-    "count (`4`), a backend (`thread`), or a `backend:count` pair "
-    "(`thread:4`).  `0` or negative means all cores.  Overridden by "
-    "`--jobs` and explicit `n_jobs` arguments; results are identical "
-    "on every backend.",
+    "Default worker count for flow runs and sub-model fits (`4`); "
+    "`0` or negative means all cores, anything but an integer is an "
+    "error.  Flow runs use processes and fits use threads.  Overridden "
+    "by `--jobs` and explicit `n_jobs` arguments; results are identical "
+    "for every count.",
 )
 
 REPRO_NO_KERNEL = _declare(

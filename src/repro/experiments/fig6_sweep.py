@@ -29,7 +29,7 @@ def _sweep_budget_task(
     """Evaluate one training budget — the parallel unit of the sweep.
 
     Runs with ``n_jobs=1`` inside: the sweep already fans out across
-    budgets, and nesting pools inside pool workers would oversubscribe.
+    budgets, and nesting pools inside pool threads would oversubscribe.
     """
     return evaluate_methods(flow=flow, n_train=n_train, methods=methods, n_jobs=1)
 
@@ -65,28 +65,21 @@ def run(
 ) -> SweepResult:
     """Sweep the number of training configurations.
 
-    With ``n_jobs > 1`` the ground truth is generated by one parallel
-    ``run_many`` over every configuration, then the per-budget
-    evaluations fan out across the executor (each budget's fits run
-    serially inside its worker).  Results are backend-independent.
+    Every budget consumes the same ground truth, so one ``run_many`` over
+    every configuration generates it first (on processes with
+    ``n_jobs > 1``).  The per-budget evaluations then only read the
+    flow's caches and fit, which runs in the GIL-releasing kernel, so
+    they fan out over threads sharing that flow (each budget's fits run
+    serially inside its thread).  Results do not depend on ``n_jobs``.
     """
     if flow is None:
         flow = VlsiFlow()
-    executor = get_executor(n_jobs)
-    if executor.is_serial:
-        results = {
-            n: evaluate_methods(flow=flow, n_train=n, methods=methods, n_jobs=n_jobs)
-            for n in budgets
-        }
-    else:
-        # Every budget consumes the same ground truth; generate it once in
-        # parallel so the budget tasks (and their pickled flows) hit cache.
-        flow.run_many(list(BOOM_CONFIGS), list(WORKLOADS), executor=executor)
+    flow.run_many(list(BOOM_CONFIGS), list(WORKLOADS), n_jobs=n_jobs)
+    with get_executor(n_jobs, "thread") as executor:
         accuracies = executor.map(
             partial(_sweep_budget_task, flow, methods), list(budgets)
         )
-        results = dict(zip(budgets, accuracies))
-    return SweepResult(budgets=tuple(budgets), results=results)
+    return SweepResult(budgets=tuple(budgets), results=dict(zip(budgets, accuracies)))
 
 
 def main() -> None:

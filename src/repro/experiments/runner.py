@@ -149,7 +149,7 @@ def evaluate_methods(
     Returns per-method MAPE / R² / Pearson R over (test configs x
     workloads), plus the raw scatter points for figure regeneration.
     ``n_jobs`` parallelizes ground-truth generation and the decomposed
-    sub-model fits; the numbers are backend-independent.
+    sub-model fits; the numbers do not depend on it.
     """
     if flow is None:
         flow = VlsiFlow()

@@ -40,6 +40,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 
 from repro.env import get_bool
 
@@ -322,6 +323,9 @@ void forest_predict(
 
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
+# Fits run on threads: ``_KERNEL_LOCK`` guards the first load, so a second
+# caller waits for it instead of reading ``_kernel`` before it is set.
+_KERNEL_LOCK = threading.Lock()
 _kernel = None
 _kernel_tried = False
 
@@ -369,7 +373,15 @@ def get_kernel():
     global _kernel, _kernel_tried
     if _kernel_tried:
         return _kernel
-    _kernel_tried = True
+    with _KERNEL_LOCK:
+        if not _kernel_tried:
+            _kernel = _load()
+            _kernel_tried = True
+    return _kernel
+
+
+def _load():
+    """Build and open the kernel: ``(ffi, lib)``, or ``None``."""
     if get_bool("REPRO_NO_KERNEL"):
         return None
     if not sys.platform.startswith(("linux", "darwin")):
@@ -392,8 +404,6 @@ def get_kernel():
     if so_path is None:
         return None
     try:
-        lib = ffi.dlopen(so_path)
+        return ffi, ffi.dlopen(so_path)
     except Exception:
         return None
-    _kernel = (ffi, lib)
-    return _kernel

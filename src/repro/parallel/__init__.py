@@ -1,7 +1,6 @@
 """Deterministic parallel execution for fits, flows and sweeps."""
 
 from repro.parallel.executor import (
-    BACKENDS,
     Executor,
     ProcessExecutor,
     SerialExecutor,
@@ -15,7 +14,6 @@ from repro.parallel.executor import (
 )
 
 __all__ = [
-    "BACKENDS",
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",

@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the embarrassingly parallel fan-outs.
+"""Deterministic executors for the embarrassingly parallel fan-outs.
 
 AutoPower's training decomposes into ~90 independent sub-model fits (three
 power groups x ~30 components/positions), and label generation decomposes
@@ -6,32 +6,34 @@ into independent (configuration, workload) flow runs.  This module gives
 those fan-outs a single, deterministic execution surface:
 
 * :class:`SerialExecutor` — plain in-process loop (the reference),
-* :class:`ThreadExecutor` — a thread pool; useful when tasks release the
-  GIL (large numpy kernels) or to exercise the parallel paths cheaply,
-* :class:`ProcessExecutor` — a process pool for true multi-core fitting;
-  requires picklable task functions and results and transparently falls
-  back to the serial loop when they are not.
+* :class:`ThreadExecutor` — a thread pool, for fan-outs whose tasks run
+  in the compiled fit kernel or in numpy, both of which release the GIL
+  (the sub-model fits, fig6's budget sweep, ``PredictionService``),
+* :class:`ProcessExecutor` — a process pool, for the pure-Python flow
+  runs (``VlsiFlow.run_many``), which hold the GIL; it requires picklable
+  task functions and results and transparently falls back to the serial
+  loop when they are not.
+
+The pool kind is not a setting: each fan-out names the kind its tasks
+need, as a literal, in its ``get_executor(n_jobs, kind)`` call.  The only
+setting is the worker count.
 
 Determinism contract: ``Executor.map`` submits tasks in iteration order
 and returns results in that same order, and every task payload carries its
 own seeds (``random_state`` fields), so the fitted state is numerically
-identical regardless of backend or worker count.
+identical regardless of pool kind or worker count.
 
 Worker-count resolution (first match wins):
 
 1. an explicit ``n_jobs`` argument,
 2. the session default installed by ``python -m repro --jobs N``
    (:func:`set_default_jobs`),
-3. the ``REPRO_JOBS`` environment variable — either a worker count
-   (``REPRO_JOBS=4``) or a ``backend:count`` spec (``REPRO_JOBS=thread:4``),
+3. the ``REPRO_JOBS`` environment variable, a worker count
+   (``REPRO_JOBS=4``),
 4. serial (one worker).
 
-``n_jobs <= 0`` means "all cores".  The ``auto`` backend picks a process
-pool when more than one worker is requested and the machine actually has
-more than one core; on a single-core machine it falls back to serial
-(the pools would only add overhead).  Explicitly requested ``thread`` /
-``process`` backends are honoured even on one core, which is what the
-backend-equivalence tests rely on.
+``n_jobs <= 0`` means "all cores".  One worker, or a machine with one
+core, runs serially: there a pool would only add overhead.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.env import get_str
 
 __all__ = [
-    "BACKENDS",
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",
@@ -57,8 +58,6 @@ __all__ = [
     "resolve_jobs",
     "set_default_jobs",
 ]
-
-BACKENDS = ("auto", "serial", "thread", "process")
 
 ENV_JOBS = "REPRO_JOBS"
 
@@ -82,52 +81,26 @@ def get_default_jobs() -> int | None:
     return _default_jobs
 
 
-def parse_jobs_spec(spec: str) -> tuple[int, str | None]:
-    """Parse a ``REPRO_JOBS`` value into ``(n_jobs, backend_or_None)``.
-
-    Accepts a bare count (``"4"``), a bare backend (``"serial"``), or a
-    ``backend:count`` pair (``"thread:4"``).
-    """
-    text = spec.strip().lower()
-    backend: str | None = None
-    if ":" in text:
-        backend, _, text = text.partition(":")
-        backend = backend.strip()
-        text = text.strip()
-    elif text in BACKENDS:
-        backend, text = text, ""
-    if backend is not None and backend not in BACKENDS:
+def parse_jobs_spec(spec: str) -> int:
+    """Parse a ``REPRO_JOBS`` value: a worker count such as ``"4"``."""
+    try:
+        return int(spec.strip())
+    except ValueError:
         raise ValueError(
-            f"unknown executor backend {backend!r} in {ENV_JOBS}={spec!r}; "
-            f"expected one of {BACKENDS}"
-        )
-    if not text:
-        n_jobs = 1 if backend in (None, "serial") else 0
-    else:
-        try:
-            n_jobs = int(text)
-        except ValueError:
-            raise ValueError(
-                f"invalid worker count {text!r} in {ENV_JOBS}={spec!r}"
-            ) from None
-    return n_jobs, backend
+            f"invalid worker count in {ENV_JOBS}={spec!r}; expected an integer"
+        ) from None
 
 
-def resolve_jobs(n_jobs: int | None = None) -> tuple[int, str | None]:
-    """Resolve the effective worker count and optional backend hint.
+def resolve_jobs(n_jobs: int | None = None) -> int:
+    """Resolve the effective worker count.
 
-    Count precedence: explicit argument > session default (CLI
-    ``--jobs``) > ``REPRO_JOBS`` > serial.  Non-positive counts mean
-    "all cores".  A backend named in ``REPRO_JOBS`` (``thread:4``) is
-    returned as the hint even when the *count* comes from a higher-
-    precedence source, so the env var keeps forcing the backend unless a
-    caller passes one explicitly.
+    Precedence: explicit argument > session default (CLI ``--jobs``) >
+    ``REPRO_JOBS`` > serial.  Non-positive counts mean "all cores".  A
+    malformed ``REPRO_JOBS`` raises even when a higher-precedence count
+    is given, so a stale setting never goes unnoticed.
     """
-    env_backend: str | None = None
-    env_jobs: int | None = None
     spec = get_str(ENV_JOBS)
-    if spec:
-        env_jobs, env_backend = parse_jobs_spec(spec)
+    env_jobs = None if spec is None else parse_jobs_spec(spec)
     if n_jobs is None:
         if _default_jobs is not None:
             n_jobs = _default_jobs
@@ -138,7 +111,7 @@ def resolve_jobs(n_jobs: int | None = None) -> tuple[int, str | None]:
     n_jobs = int(n_jobs)
     if n_jobs <= 0:
         n_jobs = cpu_count()
-    return n_jobs, env_backend
+    return n_jobs
 
 
 class Executor:
@@ -146,9 +119,9 @@ class Executor:
 
     ``map`` consumes the iterable eagerly, submits tasks in order and
     returns their results in submission order — the contract every caller
-    relies on for backend-independent determinism.
+    relies on for determinism whatever the pool.
 
-    Pooled backends keep their worker pool alive *across* ``map``
+    Pooled executors keep their worker pool alive *across* ``map``
     calls, so chunked fan-outs (``VlsiFlow.run_many`` batches, the DSE
     job loop) pay the pool spin-up once, not per chunk.  The pool's
     lifetime is tied to the executor: ``close()`` (or use as a context
@@ -156,23 +129,23 @@ class Executor:
     reference releases it via ``__del__``.
     """
 
-    backend = "serial"
+    kind = "serial"
 
     def __init__(self, n_jobs: int = 1) -> None:
         self.n_jobs = max(int(n_jobs), 1)
-        #: Human-readable reason when a parallel backend degraded to the
+        #: Human-readable reason when a pool degraded to the
         #: serial loop (unpicklable tasks, broken pool); ``None`` otherwise.
         self.fallback_reason: str | None = None
 
     @property
     def is_serial(self) -> bool:
-        return self.backend == "serial"
+        return self.kind == "serial"
 
     def map(self, fn, iterable) -> list:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release the worker pool (no-op for the serial backend)."""
+        """Release the worker pool (no-op for the serial executor)."""
 
     def __enter__(self) -> Executor:
         return self
@@ -185,9 +158,9 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """The reference backend: a plain in-process loop."""
+    """The reference executor: a plain in-process loop."""
 
-    backend = "serial"
+    kind = "serial"
 
     def __init__(self, n_jobs: int = 1) -> None:
         super().__init__(1)
@@ -197,7 +170,7 @@ class SerialExecutor(Executor):
 
 
 class _PooledExecutor(Executor):
-    """Shared pool lifecycle for the thread and process backends."""
+    """Shared pool lifecycle for the thread and process executors."""
 
     _pool_factory = ThreadPoolExecutor
 
@@ -231,9 +204,9 @@ class _PooledExecutor(Executor):
 
 
 class ThreadExecutor(_PooledExecutor):
-    """Thread-pool backend (shared memory, no pickling requirements)."""
+    """Thread-pool executor (shared memory, no pickling requirements)."""
 
-    backend = "thread"
+    kind = "thread"
     _pool_factory = ThreadPoolExecutor
 
     def map(self, fn, iterable) -> list:
@@ -244,7 +217,7 @@ class ThreadExecutor(_PooledExecutor):
 
 
 class ProcessExecutor(_PooledExecutor):
-    """Process-pool backend for true multi-core execution.
+    """Process-pool executor for true multi-core execution.
 
     Task functions, payloads and results must be picklable; when the
     function or payloads are not, the whole map degrades to the serial
@@ -252,7 +225,7 @@ class ProcessExecutor(_PooledExecutor):
     raising, so callers never have to special-case exotic tasks.
     """
 
-    backend = "process"
+    kind = "process"
     _pool_factory = ProcessPoolExecutor
 
     def map(self, fn, iterable) -> list:
@@ -286,29 +259,17 @@ class ProcessExecutor(_PooledExecutor):
             return [fn(item) for item in items]
 
 
-def get_executor(
-    n_jobs: int | None = None, backend: str | None = None
-) -> Executor:
-    """Build the executor for a worker request.
-
-    ``backend=None``/``"auto"`` resolves to serial for one worker or on a
-    single-core machine, and to a process pool otherwise.  An explicit
-    ``"thread"``/``"process"`` backend is honoured whenever more than one
-    worker is requested, even on one core.
-    """
-    jobs, hint = resolve_jobs(n_jobs)
-    if backend is None:
-        backend = hint or "auto"
-    if backend not in BACKENDS:
+def get_executor(n_jobs: int | None, kind: str) -> Executor:
+    """The executor of one fan-out: ``kind`` is ``"thread"`` or
+    ``"process"``, fixed by the caller for its tasks; ``n_jobs`` resolves
+    through :func:`resolve_jobs`.  One worker, or one core, is serial."""
+    if kind not in ("thread", "process"):
         raise ValueError(
-            f"unknown executor backend {backend!r}; expected one of {BACKENDS}"
+            f"unknown executor kind {kind!r}; expected 'thread' or 'process'"
         )
-    if jobs <= 1 or backend == "serial":
+    jobs = resolve_jobs(n_jobs)
+    if jobs <= 1 or cpu_count() <= 1:
         return SerialExecutor()
-    if backend == "auto":
-        if cpu_count() <= 1:
-            return SerialExecutor()
-        return ProcessExecutor(jobs)
-    if backend == "thread":
+    if kind == "thread":
         return ThreadExecutor(jobs)
     return ProcessExecutor(jobs)

@@ -231,7 +231,6 @@ class VlsiFlow:
         configs: list[BoomConfig],
         workloads: list[Workload],
         n_jobs: int | None = None,
-        backend: str | None = None,
         executor: Executor | None = None,
     ) -> list[FlowResult]:
         """Cross product of configurations and workloads.
@@ -242,10 +241,14 @@ class VlsiFlow:
         merged back into this flow's caches in deterministic (config,
         workload) order — byte-for-byte what the serial loop produces.
         Configurations whose runs are already fully cached never leave
-        this process.
+        this process.  The stages are pure Python and hold the GIL, so
+        the fan-out runs on a process pool: ``executor`` when given (one
+        kept alive across a chunked sweep), else one opened and closed
+        here for ``n_jobs`` workers.
         """
         if executor is None:
-            executor = get_executor(n_jobs, backend)
+            with get_executor(n_jobs, "process") as executor:
+                return self.run_many(configs, workloads, executor=executor)
         workloads = list(workloads)
         if not executor.is_serial:
             # Ship only the (config, workload) pairs missing from both

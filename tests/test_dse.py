@@ -25,7 +25,7 @@ from repro.dse.cache import FLOW_CACHE_VERSION, FlowDiskCache, content_key
 from repro.dse.grid import generate_grid, grid_size, raw_rows_of
 from repro.dse.jobs import DseError, DseJobManager, normalize_spec
 from repro.library.stdcell import extended_library
-from repro.parallel import get_executor
+from repro.parallel import ProcessExecutor
 from repro.serving import GatewayThread
 from repro.serving.client import ServingClient
 from repro.vlsi.flow import VlsiFlow
@@ -222,16 +222,18 @@ class TestFlowCacheMerge:
         return flow.run_many(configs, workloads)
 
     def test_parallel_merges_byte_identical_to_serial(self, tmp_path):
+        # Worker processes hand back pickled results; merged into the
+        # flow's caches they equal the serial sweep byte for byte.
         configs, workloads = self._pairs()
         serial = VlsiFlow(disk_cache=None).run_many(configs, workloads)
-        for backend in ("thread", "process"):
-            flow = VlsiFlow(disk_cache=None)
-            merged = flow.run_many(
-                configs, workloads, executor=get_executor(2, backend)
+        with ProcessExecutor(2) as executor:
+            merged = VlsiFlow(disk_cache=None).run_many(
+                configs, workloads, executor=executor
             )
-            assert [pickle.dumps(r) for r in merged] == [
-                pickle.dumps(r) for r in serial
-            ], f"{backend} merge diverged from the serial sweep"
+        assert executor.fallback_reason is None
+        assert [pickle.dumps(r) for r in merged] == [
+            pickle.dumps(r) for r in serial
+        ]
 
     def test_disk_warm_results_byte_identical_to_cold(self, tmp_path):
         store = FlowDiskCache(str(tmp_path))

@@ -26,8 +26,8 @@ class TestRegistry:
             env.get_str("REPRO_NOT_DECLARED")
 
     def test_reads_are_live_for_monkeypatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "thread:4")
-        assert env.get_str("REPRO_JOBS") == "thread:4"
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        assert env.get_str("REPRO_JOBS") == "4"
         monkeypatch.delenv("REPRO_JOBS")
         assert env.get_str("REPRO_JOBS") is None
 

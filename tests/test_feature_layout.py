@@ -21,7 +21,7 @@ from repro.arch.config import BoomConfig, config_by_name
 from repro.arch.events import EVENT_NAMES, EventBatch
 from repro.arch.workloads import WORKLOADS
 from repro.baselines import AutoPowerMinus, McPatCalib, McPatCalibComponent
-from repro.core.autopower import events_at_scale
+from repro.core.autopower import AutoPower, events_at_scale
 from repro.core.clock import ClockPowerModel
 from repro.core.features import (
     FeatureLayout,
@@ -32,9 +32,31 @@ from repro.core.features import (
     program_features,
     program_features_matrix,
 )
-from repro.core.logic import _he_features
+from repro.core.logic import CombPowerModel, RegisterPowerModel, _he_features
+from repro.core.sram import SramPowerModel
+from repro.parallel import SerialExecutor
+from repro.vlsi.macro_mapping import MacroMapper
 
 CONFIGS = ("C1", "C8", "C15")
+
+
+class _Captured(Exception):
+    pass
+
+
+class _CapturingExecutor(SerialExecutor):
+    """Records a fit's task payloads, then stops the fit."""
+
+    def map(self, fn, iterable) -> list:
+        self.payloads = list(iterable)
+        raise _Captured
+
+
+def _fit_payloads(model, results) -> list[dict]:
+    executor = _CapturingExecutor()
+    with pytest.raises(_Captured):
+        model.fit(results, executor=executor)
+    return executor.payloads
 
 
 def _same_bits(a, b) -> bool:
@@ -195,3 +217,18 @@ class TestFitAssembly:
         for row, config in zip(x, (c8, wide)):
             want = layout.features(layout.hardware(config), EventBatch.from_events(events))
             assert _same_bits(row, want[0])
+
+    def test_same_name_different_parameters_gives_two_label_rows(self, flow):
+        # The per-configuration (ridge and scaling-law) labels of every
+        # group fit key a configuration by name *and* parameters.
+        c8 = config_by_name("C8")
+        wide = BoomConfig("C8", {**c8.params, "RobEntry": 2 * c8["RobEntry"]})
+        results = [flow.run(c, w) for c in (c8, wide) for w in WORKLOADS[:2]]
+        library = flow.library
+        for model in (ClockPowerModel(library), RegisterPowerModel(), CombPowerModel()):
+            payloads = _fit_payloads(model, results)
+            assert [p["h"].shape[0] for p in payloads] == [2] * len(COMPONENTS)
+        sram = SramPowerModel(library, MacroMapper(library.sram))
+        assert all(len(p["capacities"]) == 2 for p in _fit_payloads(sram, results))
+        model = AutoPower(library=library).fit_results(results)
+        assert model.train_config_names == ("C8", "C8")

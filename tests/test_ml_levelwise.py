@@ -178,6 +178,38 @@ class TestKernelParity:
             kernel_mod._kernel, kernel_mod._kernel_tried = saved, saved_tried
         return with_kernel, without, X
 
+    def test_threads_racing_on_first_load_all_get_the_kernel(self):
+        # Fits run on threads: a caller arriving while another loads the
+        # kernel must wait for it, not fall back to the numpy engine.
+        import sys
+        import threading
+
+        import repro.ml._kernel as kernel_mod
+
+        saved, saved_tried = kernel_mod._kernel, kernel_mod._kernel_tried
+        interval = sys.getswitchinterval()
+        got: list = []
+        barrier = threading.Barrier(8)
+
+        def load():
+            barrier.wait(timeout=10)
+            got.append(get_kernel())
+
+        kernel_mod._kernel, kernel_mod._kernel_tried = None, False
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            kernel_mod._kernel, kernel_mod._kernel_tried = saved, saved_tried
+        assert len(got) == 8
+        assert all(k is got[0] and k is not None for k in got)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_serialized_models_byte_identical(self, seed):
         import json

@@ -40,102 +40,88 @@ def _clean_jobs_state(monkeypatch):
 
 class TestParseJobsSpec:
     def test_bare_count(self):
-        assert parse_jobs_spec("4") == (4, None)
+        assert parse_jobs_spec("4") == 4
+        assert parse_jobs_spec(" -1 ") == -1
 
     def test_backend_and_count(self):
-        assert parse_jobs_spec("thread:4") == (4, "thread")
-        assert parse_jobs_spec(" process:2 ") == (2, "process")
+        # The pool kind is not a setting: a ``backend:count`` spec is an
+        # error that names the variable.
+        for spec in ("thread:4", " process:2 "):
+            with pytest.raises(ValueError, match="REPRO_JOBS"):
+                parse_jobs_spec(spec)
 
     def test_bare_backend(self):
-        assert parse_jobs_spec("serial") == (1, "serial")
-        # A bare parallel backend means "all cores" on that backend.
-        assert parse_jobs_spec("process") == (0, "process")
+        for spec in ("serial", "process", "auto"):
+            with pytest.raises(ValueError, match="REPRO_JOBS"):
+                parse_jobs_spec(spec)
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
             parse_jobs_spec("fiber:4")
 
     def test_rejects_garbage_count(self):
         with pytest.raises(ValueError, match="invalid worker count"):
-            parse_jobs_spec("thread:lots")
+            parse_jobs_spec("lots")
 
 
 class TestResolveJobs:
     def test_default_is_serial(self):
-        assert resolve_jobs(None) == (1, None)
+        assert resolve_jobs(None) == 1
 
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "8")
-        assert resolve_jobs(3) == (3, None)
+        assert resolve_jobs(3) == 3
 
-    def test_env_backend_survives_explicit_count(self, monkeypatch):
-        # REPRO_JOBS=thread:8 keeps forcing the thread backend even when
-        # the worker *count* comes from an explicit argument or --jobs.
+    def test_malformed_env_rejected_even_with_explicit_count(self, monkeypatch):
+        # A stale ``thread:8`` must not be silently ignored.
         monkeypatch.setenv("REPRO_JOBS", "thread:8")
-        assert resolve_jobs(3) == (3, "thread")
-        set_default_jobs(2)
-        assert resolve_jobs(None) == (2, "thread")
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            resolve_jobs(3)
 
     def test_session_default_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "8")
         set_default_jobs(2)
-        assert resolve_jobs(None) == (2, None)
+        assert resolve_jobs(None) == 2
         assert get_default_jobs() == 2
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "thread:5")
-        assert resolve_jobs(None) == (5, "thread")
+        monkeypatch.setenv("REPRO_JOBS", "5")
+        assert resolve_jobs(None) == 5
 
     def test_nonpositive_means_all_cores(self, monkeypatch):
         monkeypatch.setattr(executor_mod, "cpu_count", lambda: 7)
-        assert resolve_jobs(0) == (7, None)
-        assert resolve_jobs(-1) == (7, None)
+        assert resolve_jobs(0) == 7
+        assert resolve_jobs(-1) == 7
 
 
 class TestGetExecutor:
     def test_one_worker_is_serial(self):
-        assert isinstance(get_executor(1), SerialExecutor)
         assert isinstance(get_executor(1, "thread"), SerialExecutor)
         assert isinstance(get_executor(1, "process"), SerialExecutor)
+        assert isinstance(get_executor(None, "process"), SerialExecutor)
 
-    def test_auto_falls_back_to_serial_on_one_core(self, monkeypatch):
+    def test_one_core_is_serial_for_both_kinds(self, monkeypatch):
         monkeypatch.setattr(executor_mod, "cpu_count", lambda: 1)
-        assert isinstance(get_executor(4), SerialExecutor)
-        assert isinstance(get_executor(4, "auto"), SerialExecutor)
+        assert isinstance(get_executor(4, "thread"), SerialExecutor)
+        assert isinstance(get_executor(4, "process"), SerialExecutor)
 
-    def test_auto_picks_process_on_multicore(self, monkeypatch):
+    def test_kind_picks_the_pool_on_multicore(self, monkeypatch):
         monkeypatch.setattr(executor_mod, "cpu_count", lambda: 4)
-        ex = get_executor(4)
-        assert isinstance(ex, ProcessExecutor)
-        assert ex.n_jobs == 4
+        thread, process = get_executor(3, "thread"), get_executor(3, "process")
+        assert isinstance(thread, ThreadExecutor) and thread.n_jobs == 3
+        assert isinstance(process, ProcessExecutor) and process.n_jobs == 3
 
-    def test_explicit_backends_honoured_even_on_one_core(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "cpu_count", lambda: 1)
-        assert isinstance(get_executor(2, "thread"), ThreadExecutor)
-        assert isinstance(get_executor(2, "process"), ProcessExecutor)
-
-    def test_serial_backend_forced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "serial")
-        assert isinstance(get_executor(), SerialExecutor)
-
-    def test_env_backend_hint_used(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "thread:3")
-        ex = get_executor()
+    def test_env_count_reaches_the_pool(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "cpu_count", lambda: 4)
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        ex = get_executor(None, "thread")
         assert isinstance(ex, ThreadExecutor)
         assert ex.n_jobs == 3
 
-    def test_env_backend_forces_backend_for_explicit_count(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "cpu_count", lambda: 4)
-        monkeypatch.setenv("REPRO_JOBS", "thread:8")
-        ex = get_executor(2)
-        assert isinstance(ex, ThreadExecutor)
-        assert ex.n_jobs == 2
-        # An explicit backend argument still outranks the env hint.
-        assert isinstance(get_executor(2, "process"), ProcessExecutor)
-
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            get_executor(2, "fiber")
+        for kind in ("fiber", "auto", "serial"):
+            with pytest.raises(ValueError, match="unknown executor kind"):
+                get_executor(2, kind)
 
 
 class TestExecutorMap:

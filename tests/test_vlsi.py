@@ -7,7 +7,7 @@ import pytest
 from repro.arch.config import BoomConfig, config_by_name
 from repro.arch.workloads import workload_by_name
 from repro.library.sram_compiler import SramCompiler
-from repro.parallel import get_executor
+from repro.parallel import ProcessExecutor
 from repro.vlsi.flow import VlsiFlow
 from repro.vlsi.macro_mapping import MacroMapper
 
@@ -128,9 +128,10 @@ class TestConfigIdentity:
             VlsiFlow(disk_cache=None).run_many([c], workloads)
             for c in (c8, imposter)
         ]
-        merged = VlsiFlow(disk_cache=None).run_many(
-            [c8, imposter], workloads, executor=get_executor(2, "thread")
-        )
+        with ProcessExecutor(2) as executor:
+            merged = VlsiFlow(disk_cache=None).run_many(
+                [c8, imposter], workloads, executor=executor
+            )
         assert [pickle.dumps(r) for r in merged] == [
             pickle.dumps(r) for r in serial[0] + serial[1]
         ]
