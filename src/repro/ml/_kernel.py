@@ -4,15 +4,20 @@ forest prediction.
 The few-shot regime fits thousands of tiny trees; even the fully batched
 numpy engine pays a few microseconds of dispatch per array expression,
 which dominates when nodes hold a dozen rows.  This module compiles a
-small, dependency-free C implementation of the *same* level-wise frontier
-algorithm (one batched scan per depth level over presorted segments,
-stable position-cut partition, preorder emission) and drives the whole
-boosting loop in one call per fit.  ``gbm_fit_exact`` writes the model's
-one node-array set — the fused ensemble of
-:class:`repro.ml.gbm.GradientBoostingRegressor`, leaves as self-loops —
-straight into caller-owned buffers.  A second entry point,
-``forest_predict``, walks many fitted ensembles (see
-:class:`repro.ml.gbm.Forest`) in one call.
+small, dependency-free C fit that gives the numpy engine's results with
+less work, and drives the whole boosting loop in one call per fit.  It
+grows the same level-wise frontier (one scan per depth level over
+presorted segments, stable position-cut partition, preorder emission)
+but skips work whose result is already fixed: columns that rank the rows
+exactly like an earlier column are neither scanned nor partitioned, and
+the children of a split one level above ``max_depth`` add their leaf
+values to the training prediction directly, without a partition.
+``gbm_fit_exact`` writes the model's one node-array set — the fused
+ensemble of :class:`repro.ml.gbm.GradientBoostingRegressor`, leaves as
+self-loops — into caller-owned buffers.  A second entry point,
+``forest_predict``, descends many fitted ensembles (see
+:class:`repro.ml.gbm.Forest`) in one call, each packed as complete trees
+in heap order.
 
 Build strategy: the C source below is written to a per-user cache
 directory and compiled with the system C compiler into a plain shared
@@ -21,7 +26,8 @@ mode.  Everything is best-effort: no compiler, no ``cffi``, a failed
 build, or ``REPRO_NO_KERNEL=1`` simply mean :func:`get_kernel` returns
 ``None`` and callers use the pure-numpy engine — results are
 byte-identical (see ``tests/test_ml_levelwise.py`` which pins the two
-paths against each other).
+paths against each other).  Why the kernel is missing is kept in
+:data:`last_error`.
 
 Floating-point discipline: compiled with ``-ffp-contract=off`` (no FMA
 contraction) so candidate scores are the same IEEE double operations the
@@ -55,21 +61,32 @@ long gbm_fit_exact(
     double *val_out, long *nsamp_out);
 void forest_predict(
     const double *x, long n_rows, long n_cols, long n_seg,
-    int **feat, double **thr, int **left, int **right,
-    double **val, int **roots,
-    const long *seg_trees, const long *seg_col, const long *seg_depth,
-    double *leaf, double *out);
+    const int *feat, const double *thr, const double *val,
+    const long *seg_trees, const long *seg_depth, const long *seg_col,
+    const long *seg_node, const long *seg_leaf, const long *seg_out,
+    long n_out, double *leaf, double *out);
 """
 
 _SOURCE = r"""
-/* Level-wise exact GBM fit (squared loss, unit hessian).  Mirrors
- * repro.ml.tree._grow_exact: the frontier of each depth level is a set of
- * contiguous row segments over a per-feature presorted order; the split
- * search scans every (node, feature) of the level; accepted splits
- * partition segments by a stable position cut (never re-sorting); nodes
- * are laid out in preorder at emission, in the fused ensemble's form
- * (global child indices, leaves as self-loops).  Returns the deepest
- * tree's depth, or -1 when scratch allocation fails.
+/* Level-wise exact GBM fit (squared loss, unit hessian).  Produces what
+ * repro.ml.tree._grow_exact produces: the frontier of each depth level is
+ * a set of contiguous row segments over a per-feature presorted order;
+ * the split search scans every (node, feature) of the level; accepted
+ * splits partition segments by a stable position cut (never re-sorting);
+ * nodes are laid out in preorder at emission, in the fused ensemble's
+ * form (global child indices, leaves as self-loops).  Returns the
+ * deepest tree's depth, or -1 when scratch allocation fails.
+ *
+ * Two kinds of work are skipped because their result is already fixed:
+ *  - rank-duplicate columns: a column whose stable sort order and
+ *    adjacent-tie pattern both equal an earlier column's has the same
+ *    rows, ties and cumulative sums as that column in every node, so its
+ *    candidates tie the earlier column's exactly and can never win the
+ *    strictly-greater scan.  Only the other ("active") columns are
+ *    scanned and partitioned; emitted features stay original indices.
+ *  - the last level: children of a split at max_depth - 1 can only be
+ *    leaves, so their values go into pred straight from the winning
+ *    column's position cut, and no column is partitioned for them.
  *
  * Numerical contract: cumulative gradient sums run sequentially in the
  * stable sort order (bitwise-identical to the scalar reference), scores
@@ -87,6 +104,20 @@ typedef struct {
     long bfs;        /* index of this node in the BFS arrays */
 } Seg;
 
+/* 1 when column j ranks the rows exactly like column k: the same stable
+ * sort order and the same ties between sorted neighbours. */
+static int same_ranks(const double *xt, const long *order, long n, long j, long k)
+{
+    const long *oj = order + j * n, *ok = order + k * n;
+    const double *xj = xt + j * n, *xk = xt + k * n;
+    for (long i = 0; i < n; i++)
+        if (oj[i] != ok[i]) return 0;
+    for (long i = 0; i + 1 < n; i++)
+        if ((xj[oj[i]] == xj[oj[i + 1]]) != (xk[ok[i]] == xk[ok[i + 1]]))
+            return 0;
+    return 1;
+}
+
 long gbm_fit_exact(
     const double *xt, const long *order, const long *posof,
     long n, long f, const double *y,
@@ -97,6 +128,7 @@ long gbm_fit_exact(
     double *val_out, long *nsamp_out)
 {
     /* pred arrives prefilled with the base score */
+    long *act = malloc((size_t)f * sizeof(long));
     long *part = malloc((size_t)f * n * sizeof(long));
     long *part2 = malloc((size_t)f * n * sizeof(long));
     double *grad = malloc((size_t)n * sizeof(double));
@@ -110,12 +142,22 @@ long gbm_fit_exact(
     long *b_child = malloc((size_t)max_nodes * sizeof(long));
     long *b_sz = malloc((size_t)max_nodes * sizeof(long));
     long *b_pos = malloc((size_t)max_nodes * sizeof(long));
-    if (!part || !part2 || !grad || !segs || !segs2 || !b_val || !b_thr ||
-        !b_n || !b_feat || !b_child || !b_sz || !b_pos) {
-        free(part); free(part2); free(grad); free(segs); free(segs2);
-        free(b_val); free(b_thr); free(b_n); free(b_feat);
+    if (!act || !part || !part2 || !grad || !segs || !segs2 || !b_val ||
+        !b_thr || !b_n || !b_feat || !b_child || !b_sz || !b_pos) {
+        free(act); free(part); free(part2); free(grad); free(segs);
+        free(segs2); free(b_val); free(b_thr); free(b_n); free(b_feat);
         free(b_child); free(b_sz); free(b_pos);
         return -1;
+    }
+
+    /* Active columns, in original order: part[] slot a holds the rows of
+     * column act[a].  Column 0 is always active. */
+    long na = 0;
+    for (long j = 0; j < f; j++) {
+        int dup = 0;
+        for (long a = 0; a < na && !dup; a++)
+            dup = same_ranks(xt, order, n, j, act[a]);
+        if (!dup) act[na++] = j;
     }
 
     for (long i = 0; i < n; i++) grad[i] = pred[i] - y[i];
@@ -125,8 +167,10 @@ long gbm_fit_exact(
 
     for (long t = 0; t < n_estimators; t++) {
         /* ---- grow one tree, level by level ---- */
-        for (long j = 0; j < f; j++)
-            for (long i = 0; i < n; i++) part[j * n + i] = order[j * n + i];
+        for (long a = 0; a < na; a++) {
+            const long *src = order + act[a] * n;
+            for (long i = 0; i < n; i++) part[a * n + i] = src[i];
+        }
         double g_root = 0.0;
         for (long i = 0; i < n; i++) g_root += grad[i];
 
@@ -145,12 +189,12 @@ long gbm_fit_exact(
                 long bi = segs[s].bfs;
                 double value = -gsum / ((double)sz + lam);
                 b_val[bi] = value;
-                long bf = -1, bj = -1;
+                long ba = -1, bj = -1;
                 double best = -INFINITY, bcum = 0.0;
                 if (depth < max_depth && sz >= 2) {
-                    for (long feat = 0; feat < f; feat++) {
-                        const long *rows = part + feat * n + st;
-                        const double *xv = xt + feat * n;
+                    for (long a = 0; a < na; a++) {
+                        const long *rows = part + a * n + st;
+                        const double *xv = xt + act[a] * n;
                         double cum = 0.0;
                         for (long j = 0; j < sz - 1; j++) {
                             cum += grad[rows[j]];
@@ -161,37 +205,58 @@ long gbm_fit_exact(
                             double gr = gsum - cum;
                             double sc = cum * cum / (hl + lam)
                                       + gr * gr / (hr + lam);
-                            if (sc > best) { best = sc; bf = feat; bj = j; bcum = cum; }
+                            if (sc > best) { best = sc; ba = a; bj = j; bcum = cum; }
                         }
                     }
                 }
                 int split = 0;
-                if (bf >= 0) {
+                if (ba >= 0) {
                     double parent = gsum * gsum / ((double)sz + lam);
                     double gain = 0.5 * (best - parent) - gamma;
                     if (gain > 1e-12) split = 1;
                 }
                 if (!split) {
                     /* leaf: fold its contribution into pred immediately */
-                    const long *rows = part + 0 * n + st;
+                    const long *rows = part + st;
                     for (long j = 0; j < sz; j++)
                         pred[rows[j]] += learning_rate * value;
                     continue;
                 }
-                const long *rows_bf = part + bf * n + st;
+                long bf = act[ba];
+                const long *rows_bf = part + ba * n + st;
                 double va = xt[bf * n + rows_bf[bj]];
                 double vb = xt[bf * n + rows_bf[bj + 1]];
                 b_feat[bi] = bf;
                 b_thr[bi] = 0.5 * (va + vb);
                 b_child[bi] = n_bfs;
                 long nl = bj + 1, nr = sz - nl;
-                /* stable two-way partition of every feature's order by the
-                 * winning feature's position cut (no re-sort below root) */
+                b_n[n_bfs] = nl;
+                b_feat[n_bfs] = -1; b_child[n_bfs] = -1;
+                b_n[n_bfs + 1] = nr;
+                b_feat[n_bfs + 1] = -1; b_child[n_bfs + 1] = -1;
+                tree_depth = depth + 1;
+                if (depth + 1 >= max_depth) {
+                    /* both children are leaves: the winning column's
+                     * order already holds the left rows, then the right */
+                    double vl = -bcum / ((double)nl + lam);
+                    double vr = -(gsum - bcum) / ((double)nr + lam);
+                    b_val[n_bfs] = vl;
+                    b_val[n_bfs + 1] = vr;
+                    for (long j = 0; j < nl; j++)
+                        pred[rows_bf[j]] += learning_rate * vl;
+                    for (long j = nl; j < sz; j++)
+                        pred[rows_bf[j]] += learning_rate * vr;
+                    n_bfs += 2;
+                    continue;
+                }
+                /* stable two-way partition of every active column's order
+                 * by the winning column's position cut (no re-sort below
+                 * root) */
                 long cut = posof[bf * n + rows_bf[bj]];
                 const long *pcut = posof + bf * n;
-                for (long feat = 0; feat < f; feat++) {
-                    const long *src = part + feat * n + st;
-                    long *dl = part2 + feat * n + o2;
+                for (long a = 0; a < na; a++) {
+                    const long *src = part + a * n + st;
+                    long *dl = part2 + a * n + o2;
                     long *dr = dl + nl;
                     for (long j = 0; j < sz; j++) {
                         long r = src[j];
@@ -204,13 +269,8 @@ long gbm_fit_exact(
                 segs2[nseg2].start = o2 + nl; segs2[nseg2].size = nr;
                 segs2[nseg2].g = gsum - bcum; segs2[nseg2].bfs = n_bfs + 1;
                 nseg2++;
-                b_n[n_bfs] = nl;
-                b_feat[n_bfs] = -1; b_child[n_bfs] = -1;
-                b_n[n_bfs + 1] = nr;
-                b_feat[n_bfs + 1] = -1; b_child[n_bfs + 1] = -1;
                 n_bfs += 2;
                 o2 += sz;
-                tree_depth = depth + 1;
             }
             { long *tmp = part; part = part2; part2 = tmp; }
             { Seg *tmp = segs; segs = segs2; segs2 = tmp; }
@@ -257,7 +317,7 @@ long gbm_fit_exact(
         for (long i = 0; i < n; i++) grad[i] = pred[i] - y[i];
     }
 
-    free(part); free(part2); free(grad); free(segs); free(segs2);
+    free(act); free(part); free(part2); free(grad); free(segs); free(segs2);
     free(b_val); free(b_thr); free(b_n); free(b_feat);
     free(b_child); free(b_sz); free(b_pos);
     return max_tree_depth;
@@ -288,35 +348,39 @@ static double pairwise_sum(const double *a, long n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* Leaf-value sums of every ensemble ("segment") of a forest, per row.
- * Segment s is one fused ensemble (the arrays of _FlatEnsemble, reached
- * through the per-segment pointer tables) of seg_trees[s] trees reading
- * the row's columns from seg_col[s].  Leaves are self-loops with
- * threshold +inf, so every tree descends exactly seg_depth[s] levels,
- * like the numpy lockstep.
- * leaf: n_rows * (largest tree count) scratch; out: n_rows x n_seg. */
+/* Leaf-value sums of forest segments, per row.  Segment s holds
+ * seg_trees[s] complete trees of depth D = seg_depth[s] reading the row's
+ * columns from seg_col[s].  Tree t's 2^D - 1 internal slots (feature,
+ * threshold) start at seg_node[s] + t * (2^D - 1) in heap order (the
+ * children of slot h are 2h + 1 and 2h + 2); its 2^D bottom values start
+ * at seg_leaf[s] + t * 2^D.  A leaf that ends above the bottom fills
+ * every slot below it, so the descent is D branch-free steps.
+ * leaf: n_rows * (largest tree count) scratch; out: n_rows x n_out, and
+ * segment s writes column seg_out[s]. */
 void forest_predict(
     const double *x, long n_rows, long n_cols, long n_seg,
-    int **feat, double **thr, int **left, int **right,
-    double **val, int **roots,
-    const long *seg_trees, const long *seg_col, const long *seg_depth,
-    double *leaf, double *out)
+    const int *feat, const double *thr, const double *val,
+    const long *seg_trees, const long *seg_depth, const long *seg_col,
+    const long *seg_node, const long *seg_leaf, const long *seg_out,
+    long n_out, double *leaf, double *out)
 {
     for (long s = 0; s < n_seg; s++) {
-        const int *f = feat[s], *l = left[s], *r = right[s], *rt = roots[s];
-        const double *th = thr[s], *v = val[s];
         const long nt = seg_trees[s], depth = seg_depth[s];
+        const long ni = (1L << depth) - 1;
         for (long t = 0; t < nt; t++) {
+            const int *f = feat + seg_node[s] + t * ni;
+            const double *th = thr + seg_node[s] + t * ni;
+            const double *v = val + seg_leaf[s] + t * (ni + 1);
             for (long i = 0; i < n_rows; i++) {
                 const double *xi = x + i * n_cols + seg_col[s];
-                long node = rt[t];
+                long h = 0;
                 for (long d = 0; d < depth; d++)
-                    node = xi[f[node]] <= th[node] ? l[node] : r[node];
-                leaf[i * nt + t] = v[node];
+                    h = 2 * h + 1 + !(xi[f[h]] <= th[h]);
+                leaf[i * nt + t] = v[h - ni];
             }
         }
         for (long i = 0; i < n_rows; i++)
-            out[i * n_seg + s] = pairwise_sum(leaf + i * nt, nt);
+            out[i * n_out + seg_out[s]] = pairwise_sum(leaf + i * nt, nt);
     }
 }
 """
@@ -329,6 +393,11 @@ _KERNEL_LOCK = threading.Lock()
 _kernel = None
 _kernel_tried = False
 
+# Why the last load attempt gave no kernel (the compiler's stderr for a
+# failed build), or ``None``.  A missing kernel is silent by design —
+# callers fall back to numpy — so this is where to look when it is gone.
+last_error: str | None = None
+
 
 def _cache_dir() -> str:
     root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
@@ -337,30 +406,35 @@ def _cache_dir() -> str:
     return os.path.join(root, "repro-ml-kernel")
 
 
-def _build(tag: str) -> str | None:
-    """Compile the kernel into the cache dir; return the .so path."""
+def _build(tag: str) -> str:
+    """Compile the kernel into the cache dir; return the .so path.
+
+    Raises ``OSError``, ``subprocess.SubprocessError`` or
+    ``RuntimeError`` (with the compiler's stderr) on failure.
+    """
     cache = _cache_dir()
     so_path = os.path.join(cache, f"kernel-{tag}.so")
     if os.path.exists(so_path):
         return so_path
     compiler = os.environ.get("CC", "cc")
-    try:
-        os.makedirs(cache, exist_ok=True)
-        with tempfile.TemporaryDirectory(dir=cache) as tmp:
-            src = os.path.join(tmp, "kernel.c")
-            out = os.path.join(tmp, "kernel.so")
-            with open(src, "w") as fh:
-                fh.write(_SOURCE)
-            subprocess.run(
-                [compiler, *_CFLAGS, "-o", out, src],
-                check=True,
-                capture_output=True,
-                timeout=120,
+    os.makedirs(cache, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=cache) as tmp:
+        src = os.path.join(tmp, "kernel.c")
+        out = os.path.join(tmp, "kernel.so")
+        with open(src, "w") as fh:
+            fh.write(_SOURCE)
+        done = subprocess.run(
+            [compiler, *_CFLAGS, "-o", out, src],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        if done.returncode != 0:
+            raise RuntimeError(
+                f"{compiler} exited with {done.returncode}:\n{done.stderr}"
             )
-            os.replace(out, so_path)  # atomic: concurrent builders race safely
-        return so_path
-    except Exception:
-        return None
+        os.replace(out, so_path)  # atomic: concurrent builders race safely
+    return so_path
 
 
 def get_kernel():
@@ -368,42 +442,36 @@ def get_kernel():
 
     Best-effort and cached: the first call may compile the C source; any
     failure (no cffi, no compiler, sandboxed filesystem) permanently
-    falls back to ``None`` for this process.
+    falls back to ``None`` for this process, with the reason in
+    :data:`last_error`.
     """
-    global _kernel, _kernel_tried
+    global _kernel, _kernel_tried, last_error
     if _kernel_tried:
         return _kernel
     with _KERNEL_LOCK:
         if not _kernel_tried:
-            _kernel = _load()
+            try:
+                _kernel, last_error = _load(), None
+            except Exception as exc:  # best-effort: fall back to numpy
+                _kernel, last_error = None, f"{type(exc).__name__}: {exc}"
             _kernel_tried = True
     return _kernel
 
 
 def _load():
-    """Build and open the kernel: ``(ffi, lib)``, or ``None``."""
+    """Build and open the kernel: ``(ffi, lib)``, or ``None`` when it is
+    switched off.  Raises on every other failure."""
     if get_bool("REPRO_NO_KERNEL"):
         return None
     if not sys.platform.startswith(("linux", "darwin")):
-        return None
-    try:
-        import cffi
-    except Exception:
-        return None
-    try:
-        ffi = cffi.FFI()
-        # The ABI passes numpy int64 buffers as C ``long``; on an ILP32
-        # platform that would be a silent stride mismatch, so fall back.
-        if ffi.sizeof("long") != 8:
-            return None
-        ffi.cdef(_CDEF)
-    except Exception:
-        return None
+        raise RuntimeError(f"no kernel build for platform {sys.platform}")
+    import cffi
+
+    ffi = cffi.FFI()
+    # The ABI passes numpy int64 buffers as C ``long``; on an ILP32
+    # platform that would be a silent stride mismatch, so fall back.
+    if ffi.sizeof("long") != 8:
+        raise RuntimeError("C long is not 64 bits")
+    ffi.cdef(_CDEF)
     tag = hashlib.sha256((_SOURCE + str(_CFLAGS)).encode()).hexdigest()[:16]
-    so_path = _build(tag)
-    if so_path is None:
-        return None
-    try:
-        return ffi, ffi.dlopen(so_path)
-    except Exception:
-        return None
+    return ffi, ffi.dlopen(_build(tag))

@@ -11,8 +11,8 @@ implements the regularized tree-boosting algorithm directly:
   ``min_child_weight``, ``gamma`` and depth limits,
 * base score initialised at the target mean,
 * exact greedy split search over every row and feature (the level-wise
-  engine of :mod:`repro.ml.tree`, or its compiled twin in
-  :mod:`repro.ml._kernel`).
+  engine of :mod:`repro.ml.tree`, or the compiled kernel of
+  :mod:`repro.ml._kernel`, which gives the same results with less work).
 
 A fitted model owns exactly one node-array set, :class:`_FlatEnsemble`:
 every tree's nodes concatenated in preorder, leaves encoded as
@@ -103,23 +103,14 @@ class _FlatEnsemble:
 class Forest:
     """Many fitted GBMs evaluated together, in one compiled call.
 
-    Segment ``s`` is ``models[s]``'s own fused ensemble — the forest
-    references it, no node is copied — reading its features from column
-    ``col_bases[s]`` of one wide matrix.  The kernel walks every segment
-    through per-segment array pointers; without it, :meth:`sum_values`
-    runs each segment's :meth:`_FlatEnsemble.sum_values` in turn, the
+    Segment ``s`` is ``models[s]``'s own fused ensemble, reading its
+    features from column ``col_bases[s]`` of one wide matrix.  For the
+    kernel, every segment no deeper than ``_PackedTrees.MAX_DEPTH`` is
+    packed once per process, on first use, into complete trees in heap
+    order (:class:`_PackedTrees`).  Deeper segments, and every segment
+    when the kernel is missing, run :meth:`_FlatEnsemble.sum_values`, the
     reference the kernel is pinned to bit for bit.
     """
-
-    # (name, C type, numpy dtype) of each per-segment array.
-    _ARRAYS = (
-        ("feature", "int *", np.int32),
-        ("threshold", "double *", np.float64),
-        ("left", "int *", np.int32),
-        ("right", "int *", np.int32),
-        ("value", "double *", np.float64),
-        ("roots", "int *", np.int32),
-    )
 
     def __init__(self, models, col_bases, n_cols: int) -> None:
         models = list(models)
@@ -132,39 +123,17 @@ class Forest:
                 raise ValueError("a model's columns fall outside the matrix")
         self.n_cols = int(n_cols)
         self.segments = [model._flat_ensemble() for model in models]
-        for ens in self.segments:
-            for name, _, dtype in self._ARRAYS:
-                array = getattr(ens, name)
-                if array.dtype != dtype or not array.flags.c_contiguous:
-                    raise TypeError(f"ensemble {name} is not contiguous {dtype}")
-        self.seg_trees = np.array([e.roots.size for e in self.segments], dtype=np.int64)
         self.seg_col = np.array(col_bases, dtype=np.int64)
-        self.seg_depth = np.array([e.depth for e in self.segments], dtype=np.int64)
         self.base = np.array([m.base_score_ for m in models], dtype=float)
         self.rate = np.array([m.learning_rate for m in models], dtype=float)
-        self._tables = None  # per-process kernel pointer tables
+        self._layout = None  # packed kernel layout, built on first use
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_tables": None}
+        return {**self.__dict__, "_layout": None}
 
     @property
     def n_segments(self) -> int:
         return len(self.segments)
-
-    def _pointer_tables(self, ffi) -> tuple:
-        """One C pointer array per ensemble array, built once per process
-        (the segments, which own the memory, live as long as ``self``)."""
-        tables = self._tables
-        if tables is None:
-            tables = tuple(
-                ffi.new(
-                    f"{ctype}[]",
-                    [ffi.cast(ctype, getattr(e, name).ctypes.data) for e in self.segments],
-                )
-                for name, ctype, _ in self._ARRAYS
-            )
-            self._tables = tables
-        return tables
 
     def sum_values(self, X: np.ndarray) -> np.ndarray:
         """Leaf-value sums, one column per segment (before shrinkage)."""
@@ -177,22 +146,15 @@ class Forest:
         out = np.empty((n, self.n_segments))
         kernel = get_kernel()
         if kernel is None:
-            for s, ens in enumerate(self.segments):
-                out[:, s] = ens.sum_values(X[:, self.seg_col[s] :])
-            return out
-        ffi, lib = kernel
-        leaf = np.empty(n * int(self.seg_trees.max(initial=0)))
-
-        def ptr(kind, a):
-            return ffi.cast(kind, a.ctypes.data)
-
-        lib.forest_predict(
-            ptr("double *", X), n, self.n_cols, self.n_segments,
-            *self._pointer_tables(ffi),
-            ptr("long *", self.seg_trees), ptr("long *", self.seg_col),
-            ptr("long *", self.seg_depth),
-            ptr("double *", leaf), ptr("double *", out),
-        )
+            deep = range(self.n_segments)
+        else:
+            packed = self._layout
+            if packed is None:  # racing threads may both build it: equal copies
+                packed = self._layout = _PackedTrees(self.segments, self.seg_col)
+            packed.sum_values(kernel, X, out)
+            deep = packed.deep
+        for s in deep:
+            out[:, s] = self.segments[s].sum_values(X[:, self.seg_col[s] :])
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -202,6 +164,75 @@ class Forest:
         bit: the same per-element ``base + rate * sum``.
         """
         return self.base + self.rate * self.sum_values(X)
+
+
+class _PackedTrees:
+    """A forest's segments as complete trees, the kernel's descent layout.
+
+    The ``k``-th packed segment, forest segment ``seg_out[k]`` with ``T``
+    trees and depth ``D``, becomes ``T`` complete trees of depth ``D``.
+    Its tree ``t`` owns ``2^D - 1`` internal slots (``feature``,
+    ``threshold``) from ``node_off[k] + t * (2^D - 1)`` in heap order —
+    the children of slot ``h`` are ``2h + 1`` and ``2h + 2`` — and ``2^D``
+    bottom values from ``leaf_off[k] + t * 2^D``.  Following the left and
+    right links one level at a time from each root visits the slots in
+    exactly that order, and a leaf's self-loop copies it (feature ``0``,
+    threshold ``+inf``) into every slot below it, so every row descends
+    ``D`` branch-free steps to a bottom slot holding its leaf's value.
+    Segments deeper than ``MAX_DEPTH`` are listed in ``deep`` instead.
+    """
+
+    # A complete tree of depth D has 2^D leaves whatever the real tree
+    # holds, so deeper ensembles keep the node-array descent.
+    MAX_DEPTH = 6
+
+    def __init__(self, segments: list, seg_col: np.ndarray) -> None:
+        packed = [s for s, e in enumerate(segments) if e.depth <= self.MAX_DEPTH]
+        self.deep = [s for s, e in enumerate(segments) if e.depth > self.MAX_DEPTH]
+        self.seg_out = np.array(packed, dtype=np.int64)
+        self.seg_col = seg_col[self.seg_out]
+        self.n_trees = np.array([segments[s].roots.size for s in packed], dtype=np.int64)
+        self.depth = np.array([segments[s].depth for s in packed], dtype=np.int64)
+        n_leaf = self.n_trees << self.depth
+        self.node_off = np.concatenate(([0], np.cumsum(n_leaf - self.n_trees)))
+        self.leaf_off = np.concatenate(([0], np.cumsum(n_leaf)))
+        self.feature = np.empty(self.node_off[-1], dtype=np.int32)
+        self.threshold = np.empty(self.node_off[-1])
+        self.value = np.empty(self.leaf_off[-1])
+        for k, s in enumerate(packed):
+            ens = segments[s]
+            n_trees = ens.roots.size
+            nodes = slice(self.node_off[k], self.node_off[k + 1])
+            feature = self.feature[nodes].reshape(n_trees, -1)
+            threshold = self.threshold[nodes].reshape(n_trees, -1)
+            level = ens.roots[:, None]
+            for d in range(ens.depth):
+                slots = slice((1 << d) - 1, (2 << d) - 1)
+                feature[:, slots] = ens.feature[level]
+                threshold[:, slots] = ens.threshold[level]
+                level = np.stack((ens.left[level], ens.right[level]), axis=2)
+                level = level.reshape(n_trees, -1)
+            self.value[self.leaf_off[k] : self.leaf_off[k + 1]] = ens.value[level].ravel()
+
+    def sum_values(self, kernel, X: np.ndarray, out: np.ndarray) -> None:
+        """Write every packed segment's column of ``out`` (C-contiguous
+        ``X`` and ``out``, one ``out`` column per forest segment)."""
+        ffi, lib = kernel
+        n = X.shape[0]
+        leaf = np.empty(n * int(self.n_trees.max(initial=0)))
+
+        def ptr(kind, a):
+            return ffi.cast(kind, a.ctypes.data)
+
+        lib.forest_predict(
+            ptr("double *", X), n, X.shape[1], self.n_trees.size,
+            ptr("int *", self.feature), ptr("double *", self.threshold),
+            ptr("double *", self.value),
+            ptr("long *", self.n_trees), ptr("long *", self.depth),
+            ptr("long *", self.seg_col), ptr("long *", self.node_off),
+            ptr("long *", self.leaf_off), ptr("long *", self.seg_out),
+            out.shape[1], ptr("double *", leaf), ptr("double *", out),
+        )
 
 
 class GradientBoostingRegressor:
@@ -327,8 +358,9 @@ class GradientBoostingRegressor:
     def _fit_kernel(self, kernel, ws: TreeWorkspace, y: np.ndarray) -> _FlatEnsemble:
         """One compiled call for the full boosting loop.
 
-        The kernel writes the ensemble's node arrays into contiguous
-        per-fit buffers, so the model wraps slices of them.
+        The kernel writes the ensemble's node arrays into buffers sized
+        for complete trees; the model keeps exact-size copies, so it does
+        not hold the unused tail.
         """
         ffi, lib = kernel
         f, n = ws.xt.shape
@@ -367,7 +399,7 @@ class GradientBoostingRegressor:
             raise MemoryError("GBM kernel could not allocate scratch buffers")
         end = int(tree_off[n_est])
         return _FlatEnsemble(
-            feat[:end], thr[:end], left[:end], right[:end], val[:end], nsamp[:end],
+            *(a[:end].copy() for a in (feat, thr, left, right, val, nsamp)),
             tree_off[:n_est].astype(np.int32), int(depth),
         )
 

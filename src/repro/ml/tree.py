@@ -34,8 +34,9 @@ A grown tree comes out directly in the fused ensemble's node form (see
 :class:`repro.ml.gbm.GradientBoostingRegressor`): preorder, tree-local
 child indices, and every leaf a self-loop (``left == right == self``)
 with feature ``0`` and threshold ``+inf``.  This module is the numpy
-engine; :mod:`repro.ml._kernel` runs the same algorithm compiled and is
-pinned to it byte for byte.
+engine and the reference: :mod:`repro.ml._kernel` gives the same results
+with less work (it skips rank-duplicate columns and the partitions that
+only feed the last level) and is pinned to it byte for byte.
 """
 
 from __future__ import annotations

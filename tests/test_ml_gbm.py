@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml._kernel import get_kernel
+from repro.ml.gbm import Forest, GradientBoostingRegressor, _PackedTrees
 
 
 def _friedman_like(n=120, seed=0):
@@ -72,6 +73,83 @@ class TestFit:
         X, y = _friedman_like(n=40)
         model = GradientBoostingRegressor(n_estimators=10).fit(X, y)
         assert model._flat_ensemble().roots.size == 10
+
+    def test_fitted_arrays_own_exactly_their_bytes(self):
+        # A fitted model must not keep its fit-time buffers alive: the
+        # kernel sizes them for complete trees.
+        X, y = _friedman_like(n=30)
+        ens = GradientBoostingRegressor(n_estimators=20, max_depth=4).fit(X, y)._flat_ensemble()
+        for name in ("feature", "threshold", "left", "right", "value", "n_samples", "roots"):
+            array = getattr(ens, name)
+            assert array.base is None and array.flags.owndata, name
+
+
+def _mixed_forest():
+    """Fitted models of depths 0-6 plus one above the packing cap, on
+    overlapping column ranges of one wide matrix."""
+    rng = np.random.default_rng(11)
+    models, bases = [], []
+    for depth in [0, 1, 2, 3, 4, 5, 6, 9]:
+        n = 48 if depth > 3 else 16
+        f = 2 + depth % 3
+        X = rng.uniform(0.0, 4.0, size=(n, f))
+        X[:, 0] = np.round(X[:, 0])  # ties, so some leaves stop early
+        y = np.sin(X @ rng.normal(size=f)) + (X[:, 0] > 2)
+        models.append(
+            GradientBoostingRegressor(
+                n_estimators=7 + depth, learning_rate=0.3, max_depth=depth,
+                reg_lambda=0.01,
+            ).fit(X, y)
+        )
+        bases.append(depth)
+    n_cols = max(b + m.n_features_ for b, m in zip(bases, models))
+    return Forest(models, bases, n_cols)
+
+
+@pytest.mark.skipif(get_kernel() is None, reason="compiled kernel unavailable")
+class TestForestLayout:
+    """The kernel's packed descent against each segment's reference."""
+
+    @staticmethod
+    def _assert_matches_reference(forest, X):
+        got = forest.sum_values(X)
+        assert got.shape == (X.shape[0], forest.n_segments)
+        for s, ens in enumerate(forest.segments):
+            want = ens.sum_values(X[:, forest.seg_col[s] :])
+            assert got[:, s].tobytes() == want.tobytes(), s
+
+    def test_fixture_covers_the_cases(self):
+        forest = _mixed_forest()
+        depths = [ens.depth for ens in forest.segments]
+        assert set(range(7)) <= set(depths)
+        assert max(depths) > _PackedTrees.MAX_DEPTH
+        forest.sum_values(np.zeros((1, forest.n_cols)))
+        assert forest._layout.deep == [depths.index(max(depths))]
+        # Some tree has a leaf above its ensemble's bottom level.
+        assert any(
+            (ens.left == np.arange(ens.value.size)).sum() < ens.roots.size << ens.depth
+            for ens in forest.segments if ens.depth > 1
+        )
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 64])
+    def test_random_rows(self, n_rows):
+        forest = _mixed_forest()
+        X = np.random.default_rng(n_rows).uniform(-1.0, 5.0, size=(n_rows, forest.n_cols))
+        self._assert_matches_reference(forest, X)
+
+    def test_rows_at_thresholds_and_non_finite(self):
+        forest = _mixed_forest()
+        rng = np.random.default_rng(0)
+        thresholds = np.concatenate([ens.threshold for ens in forest.segments])
+        thresholds = thresholds[np.isfinite(thresholds)]
+        X = rng.choice(thresholds, size=(64, forest.n_cols))
+        X[0, :] = np.nan
+        X[1, :] = np.inf
+        X[2, :] = -np.inf
+        X[3, ::2] = np.nan
+        X[4, 1::2] = np.inf
+        X[5, ::3] = -np.inf
+        self._assert_matches_reference(forest, X)
 
 
 class TestValidation:

@@ -7,7 +7,9 @@ level-wise rewrite is most likely to get wrong:
   ties and constant features, pitted against a deliberately naive
   per-node scalar reference,
 * the compiled kernel against the pure-numpy engine (byte-identical
-  serialized models and ensembles, identical predictions),
+  serialized models and ensembles, identical predictions), including
+  matrices whose columns rank the rows alike — the columns the kernel
+  skips,
 * serialization round-trips of level-wise-fitted models through the
   legacy nested format,
 * the no-per-node-argsort invariant via ``SORT_COUNTERS``.
@@ -210,6 +212,18 @@ class TestKernelParity:
         assert len(got) == 8
         assert all(k is got[0] and k is not None for k in got)
 
+    def test_failed_build_keeps_the_compiler_error(self, monkeypatch, tmp_path):
+        import repro.ml._kernel as kernel_mod
+
+        broken = kernel_mod._SOURCE + "\n#error kernel broken on purpose\n"
+        monkeypatch.setattr(kernel_mod, "_SOURCE", broken)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(kernel_mod, "_kernel", None)
+        monkeypatch.setattr(kernel_mod, "_kernel_tried", False)
+        monkeypatch.setattr(kernel_mod, "last_error", None)
+        assert get_kernel() is None
+        assert "kernel broken on purpose" in kernel_mod.last_error
+
     @pytest.mark.parametrize("seed", range(5))
     def test_serialized_models_byte_identical(self, seed):
         import json
@@ -226,6 +240,50 @@ class TestKernelParity:
         )
         assert np.array_equal(a.predict(X), b.predict(X))
         _assert_same_ensemble(a._flat_ensemble(), b._flat_ensemble())
+
+    @staticmethod
+    def _rank_twins(n, seed):
+        """Columns that rank the rows like ``x`` or nearly so: the kernel
+        scans only the first column of each exact rank class."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, max(n // 3, 2), size=n).astype(float)  # ties
+        y = x + rng.normal(scale=0.5, size=n)
+        # Same stable order as x, one tie fewer: shift every sorted
+        # position from the first tie's right-hand row on.
+        order = np.argsort(x, kind="stable")
+        untied = x.copy()
+        tied = np.nonzero(np.diff(x[order]) == 0)[0]
+        if tied.size:
+            untied[order[tied[0] + 1 :]] += 0.5
+        X = np.column_stack([
+            2.0 * x + 1.0,                   # a monotone twin first
+            x,
+            x.copy(),                        # an exact copy
+            untied,                          # same order, other ties
+            np.exp(x),                       # monotone
+            -x,                              # reversed
+            rng.normal(size=n),
+            x[::-1].copy(),                  # another row's values
+        ])
+        return X, y
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 6])
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 48])
+    def test_rank_duplicate_columns_byte_identical(self, n, max_depth):
+        import json
+
+        import repro.ml._kernel as kernel_mod
+
+        X, y = self._rank_twins(n, seed=n + max_depth)
+        kw = {"n_estimators": 30, "learning_rate": 0.3, "max_depth": max_depth}
+        with_kernel = GradientBoostingRegressor(**kw).fit(X, y)
+        saved, saved_tried = kernel_mod._kernel, kernel_mod._kernel_tried
+        kernel_mod._kernel, kernel_mod._kernel_tried = None, True
+        try:
+            without = GradientBoostingRegressor(**kw).fit(X, y)
+        finally:
+            kernel_mod._kernel, kernel_mod._kernel_tried = saved, saved_tried
+        assert json.dumps(gbm_to_dict(with_kernel)) == json.dumps(gbm_to_dict(without))
 
     def test_kernel_ensemble_matches_lazy_assembly(self):
         # The ensemble the loader assembles from saved node lists is the

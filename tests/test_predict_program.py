@@ -169,6 +169,23 @@ class TestKernelMatchesFallback:
         monkeypatch.setattr(gbm_module, "get_kernel", lambda: None)
         assert _same_bits(compiled, forest.predict(X))
 
+    def test_pickled_program_rebuilds_its_forest_layout(self, autopower2, flow, c8, dhrystone):
+        # The packed layout is per process: a pickle leaves it out, and the
+        # copy builds its own on first use, equal to each segment's
+        # reference descent.
+        program = autopower2.compile()
+        batch = _anchors(flow, c8, dhrystone, 8)
+        program.totals(c8, batch, dhrystone)
+        assert program.forest._layout is not None
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone.forest._layout is None
+        X = clone.layout.features(clone.plan(c8).hardware, batch, dhrystone)
+        got = clone.forest.sum_values(X)
+        assert clone.forest._layout is not None
+        for s, ens in enumerate(clone.forest.segments):
+            want = ens.sum_values(X[:, clone.forest.seg_col[s] :])
+            assert _same_bits(got[:, s], want)
+
 
 def _models(model):
     """The 94 GBMs in the program's segment order."""
