@@ -11,13 +11,19 @@ presorted segments, stable position-cut partition, preorder emission)
 but skips work whose result is already fixed: columns that rank the rows
 exactly like an earlier column are neither scanned nor partitioned, and
 the children of a split one level above ``max_depth`` add their leaf
-values to the training prediction directly, without a partition.
+values to the training prediction directly, without a partition.  Its
+hot loops avoid data-dependent branches, which cost more than the
+arithmetic at these sizes: a candidate is scored exactly (two IEEE
+divisions) only when a cheap multiply-only estimate reaches a bound just
+below the running best — one rarely taken branch that also holds the tie
+test — and a partition stores each row once, at the left or right
+cursor picked by its side, with no branch.
 ``gbm_fit_exact`` writes the model's one node-array set — the fused
 ensemble of :class:`repro.ml.gbm.GradientBoostingRegressor`, leaves as
 self-loops — into caller-owned buffers.  A second entry point,
 ``forest_predict``, descends many fitted ensembles (see
 :class:`repro.ml.gbm.Forest`) in one call, each packed as complete trees
-in heap order.
+in heap order by a third, ``forest_pack``.
 
 Build strategy: the C source below is written to a per-user cache
 directory and compiled with the system C compiler into a plain shared
@@ -65,6 +71,10 @@ void forest_predict(
     const long *seg_trees, const long *seg_depth, const long *seg_col,
     const long *seg_node, const long *seg_leaf, const long *seg_out,
     long n_out, double *leaf, double *out);
+long forest_pack(
+    long n_seg, void *const *src, const long *seg_trees,
+    const long *seg_depth, const long *seg_node, const long *seg_leaf,
+    int *feat, double *thr, double *val);
 """
 
 _SOURCE = r"""
@@ -92,7 +102,22 @@ _SOURCE = r"""
  * stable sort order (bitwise-identical to the scalar reference), scores
  * use the exact expression gl*gl/(hl+lam) + gr*gr/(hr+lam), and the
  * best split is the strictly-greater feature-major scan, so ties resolve
- * to the lowest (feature, position) pair.
+ * to the lowest (feature, position) pair.  Two active columns are
+ * scanned per pass (two independent cumsum chains), each against its
+ * own running best, and merged in column order.
+ *
+ * Two rules keep the hot loops free of data-dependent branches:
+ *  - bound-pruned scan: a position is scored exactly only on a hit,
+ *    (est >= bound) & untied, where est = gl*gl*inv[hl] + gr*gr*inv[hr]
+ *    with inv[k] = 1/(k+lam), and bound = best - best*1e-12 - 1e-300.
+ *    For lam >= 0 both terms are non-negative and est is within a few
+ *    ulp of the exact score: the relative slack covers that, the
+ *    absolute term covers subnormal scores, so a pruned position can
+ *    never beat best.  NaN scores never hit and never win; once best is
+ *    +inf the bound is NaN and nothing can beat it.
+ *  - branchless partition: each row is stored once, at dst[go ? il : ir],
+ *    and il += go, ir += 1 - go.  Storing to both sides would write past
+ *    the segment into the next column's slot.
  */
 #include <stdlib.h>
 #include <math.h>
@@ -103,6 +128,29 @@ typedef struct {
     double g;        /* gradient sum over the segment's rows */
     long bfs;        /* index of this node in the BFS arrays */
 } Seg;
+
+/* The running best split of a scan: its exact score, the pruning bound
+ * derived from it, the position and the cumulative gradient there. */
+typedef struct {
+    double best, bound;
+    long j;
+    double cum;
+} Cand;
+
+/* A candidate that passed the tie test and the pruning bound: apply the
+ * min_child_weight window, score it exactly, keep it if strictly better. */
+static inline void consider(Cand *c, double cum, double gr, long j, long sz,
+                            double lam, double mcw)
+{
+    double hl = (double)(j + 1);
+    double hr = (double)(sz - j - 1);
+    if (hl < mcw || hr < mcw) return;
+    double sc = cum * cum / (hl + lam) + gr * gr / (hr + lam);
+    if (sc > c->best) {
+        c->best = sc; c->j = j; c->cum = cum;
+        c->bound = sc - sc * 1e-12 - 1e-300;
+    }
+}
 
 /* 1 when column j ranks the rows exactly like column k: the same stable
  * sort order and the same ties between sorted neighbours. */
@@ -129,6 +177,7 @@ long gbm_fit_exact(
 {
     /* pred arrives prefilled with the base score */
     long *act = malloc((size_t)f * sizeof(long));
+    double *inv = malloc((size_t)(n + 1) * sizeof(double));
     long *part = malloc((size_t)f * n * sizeof(long));
     long *part2 = malloc((size_t)f * n * sizeof(long));
     double *grad = malloc((size_t)n * sizeof(double));
@@ -142,9 +191,9 @@ long gbm_fit_exact(
     long *b_child = malloc((size_t)max_nodes * sizeof(long));
     long *b_sz = malloc((size_t)max_nodes * sizeof(long));
     long *b_pos = malloc((size_t)max_nodes * sizeof(long));
-    if (!act || !part || !part2 || !grad || !segs || !segs2 || !b_val ||
-        !b_thr || !b_n || !b_feat || !b_child || !b_sz || !b_pos) {
-        free(act); free(part); free(part2); free(grad); free(segs);
+    if (!act || !inv || !part || !part2 || !grad || !segs || !segs2 ||
+        !b_val || !b_thr || !b_n || !b_feat || !b_child || !b_sz || !b_pos) {
+        free(act); free(inv); free(part); free(part2); free(grad); free(segs);
         free(segs2); free(b_val); free(b_thr); free(b_n); free(b_feat);
         free(b_child); free(b_sz); free(b_pos);
         return -1;
@@ -159,6 +208,9 @@ long gbm_fit_exact(
             dup = same_ranks(xt, order, n, j, act[a]);
         if (!dup) act[na++] = j;
     }
+
+    /* Reciprocal denominators of the pruning estimate. */
+    for (long k = 0; k <= n; k++) inv[k] = 1.0 / ((double)k + lam);
 
     for (long i = 0; i < n; i++) grad[i] = pred[i] - y[i];
 
@@ -189,26 +241,60 @@ long gbm_fit_exact(
                 long bi = segs[s].bfs;
                 double value = -gsum / ((double)sz + lam);
                 b_val[bi] = value;
-                long ba = -1, bj = -1;
-                double best = -INFINITY, bcum = 0.0;
+                Cand win = {-INFINITY, -INFINITY, -1, 0.0};
+                long ba = -1;
                 if (depth < max_depth && sz >= 2) {
-                    for (long a = 0; a < na; a++) {
+                    /* Two active columns per pass: two independent cumsum
+                     * chains, each with its own running best, merged in
+                     * column order.  An odd last column runs alone. */
+                    long a = 0;
+                    for (; a + 1 < na; a += 2) {
+                        const long *r0 = part + a * n + st, *r1 = r0 + n;
+                        const double *x0 = xt + act[a] * n;
+                        const double *x1 = xt + act[a + 1] * n;
+                        Cand c0 = win, c1 = win;
+                        c0.j = c1.j = -1;
+                        double cum0 = 0.0, cum1 = 0.0;
+                        for (long j = 0; j < sz - 1; j++) {
+                            cum0 += grad[r0[j]];
+                            cum1 += grad[r1[j]];
+                            double gr0 = gsum - cum0, gr1 = gsum - cum1;
+                            double il = inv[j + 1], ir = inv[sz - j - 1];
+                            double e0 = cum0 * cum0 * il + gr0 * gr0 * ir;
+                            double e1 = cum1 * cum1 * il + gr1 * gr1 * ir;
+                            int h0 = (e0 >= c0.bound)
+                                   & (x0[r0[j]] != x0[r0[j + 1]]);
+                            int h1 = (e1 >= c1.bound)
+                                   & (x1[r1[j]] != x1[r1[j + 1]]);
+                            if (h0 | h1) {
+                                if (h0) consider(&c0, cum0, gr0, j, sz, lam, mcw);
+                                if (h1) consider(&c1, cum1, gr1, j, sz, lam, mcw);
+                            }
+                        }
+                        /* only a strictly greater score moves the win to
+                         * a later column */
+                        if (c0.j >= 0) { win = c0; ba = a; }
+                        if (c1.j >= 0 && c1.best > win.best) { win = c1; ba = a + 1; }
+                    }
+                    if (a < na) {
                         const long *rows = part + a * n + st;
                         const double *xv = xt + act[a] * n;
+                        Cand c = win;
+                        c.j = -1;
                         double cum = 0.0;
                         for (long j = 0; j < sz - 1; j++) {
                             cum += grad[rows[j]];
-                            if (xv[rows[j]] == xv[rows[j + 1]]) continue;
-                            double hl = (double)(j + 1);
-                            double hr = (double)(sz - j - 1);
-                            if (hl < mcw || hr < mcw) continue;
                             double gr = gsum - cum;
-                            double sc = cum * cum / (hl + lam)
-                                      + gr * gr / (hr + lam);
-                            if (sc > best) { best = sc; ba = a; bj = j; bcum = cum; }
+                            double est = cum * cum * inv[j + 1]
+                                       + gr * gr * inv[sz - j - 1];
+                            if ((est >= c.bound) & (xv[rows[j]] != xv[rows[j + 1]]))
+                                consider(&c, cum, gr, j, sz, lam, mcw);
                         }
+                        if (c.j >= 0) { win = c; ba = a; }
                     }
                 }
+                double best = win.best, bcum = win.cum;
+                long bj = win.j;
                 int split = 0;
                 if (ba >= 0) {
                     double parent = gsum * gsum / ((double)sz + lam);
@@ -256,11 +342,14 @@ long gbm_fit_exact(
                 const long *pcut = posof + bf * n;
                 for (long a = 0; a < na; a++) {
                     const long *src = part + a * n + st;
-                    long *dl = part2 + a * n + o2;
-                    long *dr = dl + nl;
+                    long *dst = part2 + a * n + o2;
+                    long il = 0, ir = nl;
                     for (long j = 0; j < sz; j++) {
                         long r = src[j];
-                        if (pcut[r] <= cut) *dl++ = r; else *dr++ = r;
+                        long go = pcut[r] <= cut;
+                        dst[go ? il : ir] = r;
+                        il += go;
+                        ir += 1 - go;
                     }
                 }
                 segs2[nseg2].start = o2; segs2[nseg2].size = nl;
@@ -317,8 +406,8 @@ long gbm_fit_exact(
         for (long i = 0; i < n; i++) grad[i] = pred[i] - y[i];
     }
 
-    free(act); free(part); free(part2); free(grad); free(segs); free(segs2);
-    free(b_val); free(b_thr); free(b_n); free(b_feat);
+    free(act); free(inv); free(part); free(part2); free(grad); free(segs);
+    free(segs2); free(b_val); free(b_thr); free(b_n); free(b_feat);
     free(b_child); free(b_sz); free(b_pos);
     return max_tree_depth;
 }
@@ -346,6 +435,53 @@ static double pairwise_sum(const double *a, long n)
     long n2 = n / 2;
     n2 -= n2 % 8;
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Deepest segment forest_pack lays out: a complete tree of depth D has
+ * 2^D leaves whatever the real tree holds. */
+#define PACK_MAX_DEPTH 6
+
+/* The layout forest_predict descends, built from fused ensembles.  Packed
+ * segment k is the ensemble whose node arrays are src[6k .. 6k + 5]:
+ * feature (int), threshold (double), left and right (int), value (double)
+ * and the seg_trees[k] tree roots (int).  Its tree t fills the internal
+ * slots and bottom values described at forest_predict, at seg_node[k] and
+ * seg_leaf[k].  Following the left and right links one level at a time
+ * from the root visits the heap slots in order, so a leaf's self-loop
+ * (feature 0, threshold +inf) copies it into every slot below it.
+ * Returns 0, or -1 (writing nothing) when a segment is deeper than
+ * PACK_MAX_DEPTH. */
+long forest_pack(
+    long n_seg, void *const *src, const long *seg_trees,
+    const long *seg_depth, const long *seg_node, const long *seg_leaf,
+    int *feat, double *thr, double *val)
+{
+    for (long k = 0; k < n_seg; k++)
+        if (seg_depth[k] < 0 || seg_depth[k] > PACK_MAX_DEPTH) return -1;
+    long node_at[(2L << PACK_MAX_DEPTH) - 1];  /* node in each heap slot */
+    for (long k = 0; k < n_seg; k++) {
+        const int *f = src[6 * k];
+        const double *th = src[6 * k + 1];
+        const int *left = src[6 * k + 2], *right = src[6 * k + 3];
+        const double *v = src[6 * k + 4];
+        const int *roots = src[6 * k + 5];
+        const long ni = (1L << seg_depth[k]) - 1;
+        for (long t = 0; t < seg_trees[k]; t++) {
+            int *fo = feat + seg_node[k] + t * ni;
+            double *to = thr + seg_node[k] + t * ni;
+            double *vo = val + seg_leaf[k] + t * (ni + 1);
+            node_at[0] = roots[t];
+            for (long h = 0; h < ni; h++) {
+                long node = node_at[h];
+                fo[h] = f[node];
+                to[h] = th[node];
+                node_at[2 * h + 1] = left[node];
+                node_at[2 * h + 2] = right[node];
+            }
+            for (long i = 0; i <= ni; i++) vo[i] = v[node_at[ni + i]];
+        }
+    }
+    return 0;
 }
 
 /* Leaf-value sums of forest segments, per row.  Segment s holds

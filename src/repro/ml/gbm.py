@@ -48,6 +48,9 @@ class _FlatEnsemble:
     leaf masking: a row that reached its leaf simply stays there while
     deeper trees keep routing.  ``depth`` is the deepest tree's depth;
     ``n_samples`` counts the training rows that reached each node.
+    ``feature``, ``left``, ``right`` and ``roots`` are int32 and
+    ``threshold`` and ``value`` float64, all contiguous: the kernel's
+    ``forest_pack`` reads them in place.
     """
 
     __slots__ = (
@@ -150,7 +153,7 @@ class Forest:
         else:
             packed = self._layout
             if packed is None:  # racing threads may both build it: equal copies
-                packed = self._layout = _PackedTrees(self.segments, self.seg_col)
+                packed = self._layout = _PackedTrees(kernel, self.segments, self.seg_col)
             packed.sum_values(kernel, X, out)
             deep = packed.deep
         for s in deep:
@@ -179,14 +182,19 @@ class _PackedTrees:
     exactly that order, and a leaf's self-loop copies it (feature ``0``,
     threshold ``+inf``) into every slot below it, so every row descends
     ``D`` branch-free steps to a bottom slot holding its leaf's value.
-    Segments deeper than ``MAX_DEPTH`` are listed in ``deep`` instead.
+    The kernel's ``forest_pack`` writes the slots in one call.  Segments
+    deeper than ``MAX_DEPTH`` are listed in ``deep`` instead.
     """
 
     # A complete tree of depth D has 2^D leaves whatever the real tree
-    # holds, so deeper ensembles keep the node-array descent.
+    # holds, so deeper ensembles keep the node-array descent.  Equals the
+    # kernel's PACK_MAX_DEPTH.
     MAX_DEPTH = 6
+    # feature, threshold, left, right, value, roots: forest_pack's src order
+    _NODE_DTYPES = (np.int32, np.float64, np.int32, np.int32, np.float64, np.int32)
 
-    def __init__(self, segments: list, seg_col: np.ndarray) -> None:
+    def __init__(self, kernel, segments: list, seg_col: np.ndarray) -> None:
+        ffi, lib = kernel
         packed = [s for s, e in enumerate(segments) if e.depth <= self.MAX_DEPTH]
         self.deep = [s for s, e in enumerate(segments) if e.depth > self.MAX_DEPTH]
         self.seg_out = np.array(packed, dtype=np.int64)
@@ -199,20 +207,29 @@ class _PackedTrees:
         self.feature = np.empty(self.node_off[-1], dtype=np.int32)
         self.threshold = np.empty(self.node_off[-1])
         self.value = np.empty(self.leaf_off[-1])
-        for k, s in enumerate(packed):
-            ens = segments[s]
-            n_trees = ens.roots.size
-            nodes = slice(self.node_off[k], self.node_off[k + 1])
-            feature = self.feature[nodes].reshape(n_trees, -1)
-            threshold = self.threshold[nodes].reshape(n_trees, -1)
-            level = ens.roots[:, None]
-            for d in range(ens.depth):
-                slots = slice((1 << d) - 1, (2 << d) - 1)
-                feature[:, slots] = ens.feature[level]
-                threshold[:, slots] = ens.threshold[level]
-                level = np.stack((ens.left[level], ens.right[level]), axis=2)
-                level = level.reshape(n_trees, -1)
-            self.value[self.leaf_off[k] : self.leaf_off[k + 1]] = ens.value[level].ravel()
+        # The kernel reads every node array in place: check the dtypes
+        # (``from_buffer`` itself rejects a non-contiguous array).
+        src = []
+        for s in packed:
+            e = segments[s]
+            arrays = (e.feature, e.threshold, e.left, e.right, e.value, e.roots)
+            for a, dtype in zip(arrays, self._NODE_DTYPES):
+                if a.dtype != dtype:
+                    raise TypeError(f"ensemble node array of dtype {a.dtype}, expected {dtype}")
+                src.append(ffi.from_buffer(a))
+        src = ffi.new("void *[]", src)
+
+        def ptr(kind, a):
+            return ffi.cast(kind, a.ctypes.data)
+
+        done = lib.forest_pack(
+            len(packed), src, ptr("long *", self.n_trees), ptr("long *", self.depth),
+            ptr("long *", self.node_off), ptr("long *", self.leaf_off),
+            ptr("int *", self.feature), ptr("double *", self.threshold),
+            ptr("double *", self.value),
+        )
+        if done < 0:  # pragma: no cover - MAX_DEPTH above the kernel's cap
+            raise ValueError("a packed segment is deeper than the kernel packs")
 
     def sum_values(self, kernel, X: np.ndarray, out: np.ndarray) -> None:
         """Write every packed segment's column of ``out`` (C-contiguous
@@ -247,11 +264,11 @@ class GradientBoostingRegressor:
     max_depth:
         Depth of each tree (0 grows single-leaf trees).
     reg_lambda:
-        L2 penalty on leaf weights.
+        L2 penalty on leaf weights (>= 0).
     min_child_weight:
-        Minimum hessian sum per leaf (= samples for squared loss).
+        Minimum hessian sum per leaf (= samples for squared loss; >= 0).
     gamma:
-        Minimum split gain.
+        Minimum split gain (>= 0).
     random_state:
         Recorded in saved models.  The fit uses every row and feature in
         every round, so it is deterministic and draws no random numbers.
@@ -273,6 +290,14 @@ class GradientBoostingRegressor:
             raise ValueError("learning_rate must be in (0, 1]")
         if max_depth < 0:
             raise ValueError("max_depth must be >= 0")
+        # Split scores are then non-negative, which the kernel's pruning
+        # bound relies on (XGBoost has the same constraints).
+        for name, value in (
+            ("reg_lambda", reg_lambda), ("min_child_weight", min_child_weight),
+            ("gamma", gamma),
+        ):
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
         self.n_estimators = int(n_estimators)
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)

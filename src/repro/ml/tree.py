@@ -103,13 +103,14 @@ class TreeWorkspace:
         engine ever performs — frontier partitions below the root are
         maintained by stable two-way splits of this order),
     ``sv`` / ``root_good``
-        sorted values and the untied-gap mask of the root segment,
+        sorted values and the untied-gap mask of the root segment (built
+        on first use: only the numpy engine reads them),
     ``posof``
         the inverse permutation of ``order`` (row -> sorted position),
         used to partition child segments without re-sorting.
     """
 
-    __slots__ = ("xt", "order", "sv", "root_good", "_posof")
+    __slots__ = ("xt", "order", "_sv", "_root_good", "_posof")
 
     def __init__(self, X: np.ndarray) -> None:
         XT = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)).T)
@@ -118,9 +119,22 @@ class TreeWorkspace:
         # intp indices: fancy gathers then skip numpy's index-cast pass,
         # and the compiled kernel reads them directly.
         self.order = np.ascontiguousarray(XT.argsort(axis=1, kind="stable"), dtype=np.intp)
-        self.sv = XT[_row_index(XT.shape[0]), self.order]
-        self.root_good = self.sv[:, 1:] != self.sv[:, :-1]
+        self._sv: np.ndarray | None = None
+        self._root_good: np.ndarray | None = None
         self._posof: np.ndarray | None = None
+
+    @property
+    def sv(self) -> np.ndarray:
+        if self._sv is None:
+            self._sv = self.xt[_row_index(self.xt.shape[0]), self.order]
+        return self._sv
+
+    @property
+    def root_good(self) -> np.ndarray:
+        if self._root_good is None:
+            sv = self.sv
+            self._root_good = sv[:, 1:] != sv[:, :-1]
+        return self._root_good
 
     def posof(self) -> np.ndarray:
         """Row -> sorted-position per feature (built on first split)."""

@@ -1,5 +1,7 @@
 """Unit tests for repro.ml.gbm (gradient boosting)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,33 @@ def _mixed_forest():
     return Forest(models, bases, n_cols)
 
 
+def _numpy_packing(segments):
+    """The packed layout built level by level in numpy: the reference the
+    kernel's ``forest_pack`` is pinned to."""
+    packed = [e for e in segments if e.depth <= _PackedTrees.MAX_DEPTH]
+    feature, threshold, value = [], [], []
+    for ens in packed:
+        n_trees = ens.roots.size
+        n_inner = (1 << ens.depth) - 1
+        f = np.empty((n_trees, n_inner), dtype=np.int32)
+        t = np.empty((n_trees, n_inner))
+        level = ens.roots[:, None]
+        for d in range(ens.depth):
+            slots = slice((1 << d) - 1, (2 << d) - 1)
+            f[:, slots] = ens.feature[level]
+            t[:, slots] = ens.threshold[level]
+            level = np.stack((ens.left[level], ens.right[level]), axis=2)
+            level = level.reshape(n_trees, -1)
+        feature.append(f.ravel())
+        threshold.append(t.ravel())
+        value.append(ens.value[level].ravel())
+    return {
+        "feature": np.concatenate(feature),
+        "threshold": np.concatenate(threshold),
+        "value": np.concatenate(value),
+    }
+
+
 @pytest.mark.skipif(get_kernel() is None, reason="compiled kernel unavailable")
 class TestForestLayout:
     """The kernel's packed descent against each segment's reference."""
@@ -151,6 +180,36 @@ class TestForestLayout:
         X[5, ::3] = -np.inf
         self._assert_matches_reference(forest, X)
 
+    @pytest.mark.parametrize("method", ["mixed", "autopower", "autopower-minus", "mcpat-calib"])
+    def test_kernel_packing_equals_numpy_packing(self, method, request):
+        if method == "mixed":
+            forest = _mixed_forest()
+        elif method == "autopower":
+            forest = request.getfixturevalue("autopower2").compile().forest
+        else:
+            forest = request.getfixturevalue("baselines2")[method]._forest
+        packed = _PackedTrees(get_kernel(), forest.segments, forest.seg_col)
+        for name, want in _numpy_packing(forest.segments).items():
+            got = getattr(packed, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_packing_rejects_a_wrong_dtype(self):
+        # The kernel reads node arrays in place, so a wrong dtype must not
+        # reach it.
+        forest = _mixed_forest()
+        forest.segments[1].feature = forest.segments[1].feature.astype(np.int64)
+        with pytest.raises(TypeError, match="int64"):
+            forest.sum_values(np.zeros((1, forest.n_cols)))
+
+    def test_pickle_drops_the_layout(self):
+        forest = _mixed_forest()
+        X = np.random.default_rng(3).uniform(-1.0, 5.0, size=(16, forest.n_cols))
+        want = forest.sum_values(X)
+        assert forest._layout is not None
+        clone = pickle.loads(pickle.dumps(forest))
+        assert clone._layout is None
+        assert clone.sum_values(X).tobytes() == want.tobytes()
+
 
 class TestValidation:
     def test_bad_n_estimators(self):
@@ -162,6 +221,17 @@ class TestValidation:
             GradientBoostingRegressor(learning_rate=0.0)
         with pytest.raises(ValueError):
             GradientBoostingRegressor(learning_rate=1.5)
+
+    @pytest.mark.parametrize("name", ["reg_lambda", "gamma", "min_child_weight"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, float("nan")])
+    def test_negative_regularization_rejected(self, name, value):
+        # The kernel's pruned split scan assumes non-negative scores.
+        with pytest.raises(ValueError, match=name):
+            GradientBoostingRegressor(**{name: value})
+
+    def test_zero_regularization_accepted(self):
+        model = GradientBoostingRegressor(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
+        model.fit([[0.0], [1.0], [2.0]], [1.0, 2.0, 4.0])
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):

@@ -9,7 +9,9 @@ level-wise rewrite is most likely to get wrong:
 * the compiled kernel against the pure-numpy engine (byte-identical
   serialized models and ensembles, identical predictions), including
   matrices whose columns rank the rows alike — the columns the kernel
-  skips,
+  skips — and a property test over the inputs its pruned split scan is
+  most likely to get wrong (ties, exactly tied scores in different
+  columns, subnormal and overflowing scores, ``reg_lambda = 0``),
 * serialization round-trips of level-wise-fitted models through the
   legacy nested format,
 * the no-per-node-argsort invariant via ``SORT_COUNTERS``.
@@ -17,8 +19,13 @@ level-wise rewrite is most likely to get wrong:
 
 from __future__ import annotations
 
+import contextlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml._kernel import get_kernel
 from repro.ml.gbm import GradientBoostingRegressor
@@ -156,6 +163,68 @@ class TestSmallNReference:
         _check_one_round(X, y, max_depth=4, mcw=2.5, lam=0.2)
 
 
+@contextlib.contextmanager
+def _without_kernel():
+    """Fits inside use the numpy engine."""
+    import repro.ml._kernel as kernel_mod
+
+    saved, saved_tried = kernel_mod._kernel, kernel_mod._kernel_tried
+    kernel_mod._kernel, kernel_mod._kernel_tried = None, True
+    try:
+        yield
+    finally:
+        kernel_mod._kernel, kernel_mod._kernel_tried = saved, saved_tried
+
+
+@st.composite
+def _parity_cases(draw):
+    """A small fit whose split scan sits on the pruning bound's edges.
+
+    Columns mix heavy ties, two-valued thresholdings of an earlier column
+    (same split, other summation order: scores a few ulp apart), copies
+    and mirrors.  A mirrored target sums to exactly zero in integers, so
+    a column and its negation score bit-for-bit equal candidates.  Tiny
+    and huge targets put the scores in the subnormal range or overflow
+    ``c*c`` to infinity.
+    """
+    n = draw(st.integers(2, 48))
+    kinds = draw(st.lists(
+        st.sampled_from(["real", "ties", "two", "copy", "negated"]), min_size=1, max_size=6,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for kind in kinds:
+        base = cols[int(rng.integers(len(cols)))] if cols else rng.normal(size=n)
+        if kind == "real" or not cols:
+            col = rng.normal(size=n)
+        elif kind == "ties":
+            col = rng.integers(0, 3, size=n).astype(float)
+        elif kind == "two":
+            col = (base > np.median(base)).astype(float)
+        elif kind == "copy":
+            col = base.copy()
+        else:
+            col = -base
+        cols.append(col)
+    X = np.column_stack(cols)
+    target = draw(st.sampled_from(["real", "mirrored", "subnormal", "huge"]))
+    if target == "mirrored":
+        half = rng.integers(-6, 7, size=n // 2).astype(float)
+        y = np.concatenate([half, -half, np.zeros(n % 2)])
+    else:
+        scale = {"real": 1.0, "subnormal": 1e-310, "huge": 1e160}[target]
+        y = rng.normal(size=n) * scale
+    params = {
+        "n_estimators": draw(st.integers(1, 6)),
+        "learning_rate": draw(st.sampled_from([0.1, 0.5, 1.0])),
+        "max_depth": draw(st.integers(1, 4)),
+        "reg_lambda": draw(st.sampled_from([0.0, 0.25, 1.0])),
+        "min_child_weight": draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+        "gamma": draw(st.sampled_from([0.0, 0.01])),
+    }
+    return X, y, params
+
+
 class TestKernelParity:
     """Compiled kernel vs pure-numpy engine (skipped when not compiled)."""
 
@@ -170,14 +239,8 @@ class TestKernelParity:
         X = rng.uniform(0.0, 4.0, size=(n, f))
         y = 5.0 * X[:, 0] - X[:, 1] + rng.normal(scale=0.3, size=n)
         with_kernel = GradientBoostingRegressor(**kw).fit(X, y)
-        import repro.ml._kernel as kernel_mod
-
-        saved, saved_tried = kernel_mod._kernel, kernel_mod._kernel_tried
-        kernel_mod._kernel, kernel_mod._kernel_tried = None, True
-        try:
+        with _without_kernel():
             without = GradientBoostingRegressor(**kw).fit(X, y)
-        finally:
-            kernel_mod._kernel, kernel_mod._kernel_tried = saved, saved_tried
         return with_kernel, without, X
 
     def test_threads_racing_on_first_load_all_get_the_kernel(self):
@@ -226,8 +289,6 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_serialized_models_byte_identical(self, seed):
-        import json
-
         a, b, X = self._pair(
             seed=seed, n_estimators=60, learning_rate=0.1, max_depth=3
         )
@@ -270,19 +331,63 @@ class TestKernelParity:
     @pytest.mark.parametrize("max_depth", [1, 3, 6])
     @pytest.mark.parametrize("n", [2, 3, 7, 16, 48])
     def test_rank_duplicate_columns_byte_identical(self, n, max_depth):
-        import json
-
-        import repro.ml._kernel as kernel_mod
-
         X, y = self._rank_twins(n, seed=n + max_depth)
         kw = {"n_estimators": 30, "learning_rate": 0.3, "max_depth": max_depth}
         with_kernel = GradientBoostingRegressor(**kw).fit(X, y)
-        saved, saved_tried = kernel_mod._kernel, kernel_mod._kernel_tried
-        kernel_mod._kernel, kernel_mod._kernel_tried = None, True
-        try:
+        with _without_kernel():
             without = GradientBoostingRegressor(**kw).fit(X, y)
-        finally:
-            kernel_mod._kernel, kernel_mod._kernel_tried = saved, saved_tried
+        assert json.dumps(gbm_to_dict(with_kernel)) == json.dumps(gbm_to_dict(without))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_parity_cases())
+    def test_pruned_scan_byte_identical(self, case):
+        X, y, params = case
+        # Huge targets overflow scores to inf (and inf - inf gains to NaN)
+        # in both engines; that is the case under test, not an error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with_kernel = GradientBoostingRegressor(**params).fit(X, y)
+            with _without_kernel():
+                without = GradientBoostingRegressor(**params).fit(X, y)
+        assert json.dumps(gbm_to_dict(with_kernel)) == json.dumps(gbm_to_dict(without))
+        assert with_kernel.predict(X).tobytes() == without.predict(X).tobytes()
+
+    @staticmethod
+    def _root_candidates(X, y, lam):
+        """Every untied root candidate of the first round, in scan order
+        (feature-major): its exact score and the kernel's pruning
+        estimate, computed with the kernel's IEEE operations."""
+        n = y.size
+        g = y.mean() - y
+        gsum = np.cumsum(g)[-1]
+        order = np.argsort(X, axis=0, kind="stable").T
+        cum = np.cumsum(g[order], axis=1)[:, :-1]
+        xs = np.take_along_axis(X.T, order, axis=1)
+        untied = xs[:, 1:] != xs[:, :-1]
+        hl = np.arange(1.0, n)
+        gr = gsum - cum
+        score = cum * cum / (hl + lam) + gr * gr / (n - hl + lam)
+        est = cum * cum * (1.0 / (hl + lam)) + gr * gr * (1.0 / (n - hl + lam))
+        return score[untied], est[untied]
+
+    def test_winner_estimated_below_the_running_best(self):
+        # Six rows in forty random orders: many columns split the same
+        # rows apart but sum them in other orders, so root scores a few
+        # ulp apart abound.  In this draw a candidate that beats the
+        # running best has a pruning estimate below it; only the bound's
+        # relative slack keeps it in the scan.
+        rng = np.random.default_rng(3145)
+        X = np.column_stack([rng.permutation(6).astype(float) for _ in range(40)])
+        y = rng.normal(size=6)
+        score, est = self._root_candidates(X, y, lam=0.25)
+        prev = np.concatenate(([-np.inf], np.maximum.accumulate(score)[:-1]))
+        assert np.any((score > prev) & (est < prev))
+        kw = {
+            "n_estimators": 1, "learning_rate": 1.0, "max_depth": 2,
+            "reg_lambda": 0.25, "min_child_weight": 0.0,
+        }
+        with_kernel = GradientBoostingRegressor(**kw).fit(X, y)
+        with _without_kernel():
+            without = GradientBoostingRegressor(**kw).fit(X, y)
         assert json.dumps(gbm_to_dict(with_kernel)) == json.dumps(gbm_to_dict(without))
 
     def test_kernel_ensemble_matches_lazy_assembly(self):
@@ -341,19 +446,13 @@ class TestNoPerNodeSorts:
         # per fit (the workspace build); below the root every partition is
         # a stable position-cut split.  ``node_argsorts`` has no increment
         # site at all — pinned here so a regression must touch the counter.
-        import repro.ml._kernel as kernel_mod
-
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(12, 10))
         y = rng.normal(size=12)
-        saved, saved_tried = kernel_mod._kernel, kernel_mod._kernel_tried
-        kernel_mod._kernel, kernel_mod._kernel_tried = None, True
-        try:
+        with _without_kernel():
             before = dict(SORT_COUNTERS)
             GradientBoostingRegressor(n_estimators=50, max_depth=3).fit(X, y)
             after = dict(SORT_COUNTERS)
-        finally:
-            kernel_mod._kernel, kernel_mod._kernel_tried = saved, saved_tried
         assert after["workspace_builds"] - before["workspace_builds"] == 1
         assert after["node_argsorts"] - before["node_argsorts"] == 0
 
