@@ -226,7 +226,7 @@ class PredictionService:
         ``trace`` requests run one batched anchor sweep each.
         """
         requests = list(requests)
-        self._validate(requests)
+        parts = self._validate(requests)
         model_calls = 0
         batched_intervals = 0
         responses: list[PredictResponse | None] = [None] * len(requests)
@@ -239,7 +239,6 @@ class PredictionService:
                 _workload_arg([requests[i].workload for i in part]),
             )
 
-        parts = list(self._config_chunks(requests, "total"))
         for part, values in zip(parts, self._executor.map(predict_totals, parts)):
             model_calls += 1
             batched_intervals += len(part)
@@ -284,9 +283,10 @@ class PredictionService:
         return responses  # every kind above filled its slots
 
     # ------------------------------------------------------------------
-    def _validate(self, requests: list[PredictRequest]) -> None:
+    def _validate(self, requests: list[PredictRequest]) -> list[list[int]]:
         """Reject unservable submissions before any model work runs, so a
-        bad request can't discard completed results or skew the stats."""
+        bad request can't discard completed results or skew the stats.
+        Returns the submission's ``total`` chunks."""
         for req in requests:
             if not isinstance(req, PredictRequest):
                 raise TypeError(f"expected PredictRequest, got {type(req).__name__}")
@@ -308,11 +308,13 @@ class PredictionService:
         # exact chunks the execution phases will use keeps the semantics
         # identical (a max_batch_size split that happens to separate the
         # mix stays accepted) while firing *before* any model call.
-        for part in self._config_chunks(requests, "total"):
+        total_parts = list(self._config_chunks(requests, "total"))
+        for part in total_parts:
             _workload_arg([requests[i].workload for i in part])
         if callable(getattr(self.model, "predict_reports", None)):
             for part in self._config_chunks(requests, "report"):
                 _workload_arg([requests[i].workload for i in part])
+        return total_parts
 
     def _config_chunks(
         self, requests: list[PredictRequest], kind: str

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,11 +48,13 @@ class BoomConfig:
             names = HARDWARE_PARAMETERS
         return np.array([self.params[n] for n in names], dtype=float)
 
-    @property
+    @cached_property
     def params_key(self) -> tuple:
         """Hashable identity of the configuration's content: its parameter
         values in canonical order.  The name is a label, not identity; two
-        configs with one name and different parameters key differently."""
+        configs with one name and different parameters key differently.
+        Built once per instance (a configuration's parameters are never
+        changed after construction)."""
         return tuple(self.params[n] for n in HARDWARE_PARAMETERS)
 
     @property

@@ -14,6 +14,7 @@ feature extractors, not stored here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,6 +150,8 @@ class EventParams:
 
 
 _EVENT_INDEX: dict[str, int] = {name: i for i, name in enumerate(EVENT_NAMES)}
+# One interval's counts, in EVENT_NAMES order, from its counts dict.
+_event_row = operator.itemgetter(*EVENT_NAMES)
 
 
 class EventBatch:
@@ -184,8 +187,15 @@ class EventBatch:
             return events
         if isinstance(events, EventParams):
             events = [events]
-        rows = [[e.counts[name] for name in EVENT_NAMES] for e in events]
-        return cls(np.array(rows, dtype=float))
+        events = list(events)
+        matrix = np.array([_event_row(e.counts) for e in events], dtype=float)
+        if not events or not all(isinstance(e, EventParams) for e in events):
+            return cls(matrix)
+        # Every row is an EventParams, validated on construction by the
+        # same rules, so the stacked matrix skips the second check.
+        batch = cls.__new__(cls)
+        batch.matrix = matrix
+        return batch
 
     def __len__(self) -> int:
         return self.matrix.shape[0]

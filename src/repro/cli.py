@@ -83,7 +83,6 @@ def _print_overview() -> None:
         "\n  predict --model model.json [--config C8[,C9]] [--workload dhrystone]"
         "\n  serve --model [NAME=]model.json [--port 8000] [--workers N]"
         "\n        [--max-restarts N] [--restart-backoff-ms MS]"
-        " [--no-supervise]"
         "\n        [--auth-token T | --auth-token-env VAR | --auth-token-file F]"
         "\n        [--rate-limit R --rate-burst B] [--max-batch-size B]"
         "\n        [--queue-depth N] [--default-deadline-ms MS]"
@@ -436,15 +435,6 @@ def _cmd_serve(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--no-supervise",
-        action="store_true",
-        help=(
-            "disable crash recovery: the first unexpected worker death "
-            "drains the pool and exits non-zero (the pre-supervision "
-            "fail-fast behavior)"
-        ),
-    )
-    parser.add_argument(
         "--auth-token",
         default=None,
         metavar="TOKEN",
@@ -670,7 +660,6 @@ def _cmd_serve(argv: list[str]) -> int:
                 args.port,
                 args.workers,
                 worker_main,
-                supervise=not args.no_supervise,
                 max_restarts=args.max_restarts,
                 restart_backoff_ms=args.restart_backoff_ms,
                 startup_timeout_s=args.startup_timeout,

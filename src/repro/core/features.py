@@ -19,6 +19,7 @@ the gather equals bit for bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +172,10 @@ def event_features_batch(
     return np.column_stack(columns)
 
 
+# One workload's program features, in _PROGRAM_FEATURE_NAMES order.
+_program_row = operator.itemgetter(*_PROGRAM_FEATURE_NAMES)
+
+
 def program_feature_names() -> tuple[str, ...]:
     return _PROGRAM_FEATURE_NAMES
 
@@ -190,7 +195,9 @@ def program_features_matrix(workload, n_rows: int) -> np.ndarray:
         raise ValueError(
             f"got {len(workloads)} workloads for a batch of {n_rows} intervals"
         )
-    return np.stack([program_features(w) for w in workloads])
+    return np.array(
+        [_program_row(w.program_features()) for w in workloads], dtype=float
+    ).reshape(n_rows, len(_PROGRAM_FEATURE_NAMES))
 
 
 _INSTRUCTIONS = EVENT_NAMES.index("instructions")
@@ -272,6 +279,8 @@ class FeatureLayout:
             np.array(ev, dtype=np.intp).reshape(-1, 3).T
         )
         self._prog_cols = np.array(prog, dtype=np.intp)
+        # Each program block repeats the same features: their gather.
+        self._prog_src = np.arange(len(prog), dtype=np.intp) % len(_PROGRAM_FEATURE_NAMES)
         self._extra_cols = np.array(extra, dtype=np.intp)
 
     def hardware(self, config: BoomConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +300,7 @@ class FeatureLayout:
         x[:, self._ev_cols] = rates[:, self._ev_src] / divisors
         if self._prog_cols.size:
             prog = program_features_matrix(workload, n)
-            x[:, self._prog_cols] = np.tile(prog, self._prog_cols.size // prog.shape[1])
+            x[:, self._prog_cols] = prog[:, self._prog_src]
         if self._extra_cols.size:
             if extra is None:
                 raise ValueError("this layout needs its extra columns")

@@ -79,7 +79,6 @@ class PredictProgram:
         names = [comp.name for comp in COMPONENTS]
         positions = sram_model._component_positions
         self.components = tuple(names)
-        self.has_sram = tuple(name in positions for name in names)
 
         # Per component: the clock active-rate, register-activity and
         # comb-variation GBMs share one normalized block; SRAM positions
@@ -111,13 +110,42 @@ class PredictProgram:
                 position_component.append(names.index(comp_name))
                 self.position_names.append(pos)
 
-        self.position_component = tuple(position_component)
+        # Forest columns: per component (clock, register, comb), then per
+        # SRAM position (read, write).  Strided slices, so no copies.
         n = len(names)
-        self.clock_seg = np.arange(0, 3 * n, 3)
-        self.register_seg = self.clock_seg + 1
-        self.comb_seg = self.clock_seg + 2
-        self.read_seg = np.arange(3 * n, len(models), 2)
-        self.write_seg = self.read_seg + 1
+        self.clock_seg = slice(0, 3 * n, 3)
+        self.register_seg = slice(1, 3 * n, 3)
+        self.comb_seg = slice(2, 3 * n, 3)
+        self.read_seg = slice(3 * n, len(models), 2)
+        self.write_seg = slice(3 * n + 1, len(models), 2)
+        # SRAM power per component is its positions' sum, in position
+        # order, from 0.0: each position gets a slot of a per-component
+        # row that starts with a 0.0 slot and pads with 0.0 after its
+        # last position.  Adding +0.0 to a sum that started from +0.0
+        # changes no bit, so one sequential accumulate along the row is
+        # the per-position loop.
+        sram_components = sorted(set(position_component))
+        self.sram_components = np.array(sram_components, dtype=np.intp)
+        row = [sram_components.index(j) for j in position_component]
+        slot = [row[: k + 1].count(r) for k, r in enumerate(row)]
+        self._position_row = np.array(row, dtype=np.intp)
+        self._position_slot = np.array(slot, dtype=np.intp)
+        self._position_width = max(slot, default=0) + 1
+        # The total adds, in component order, each component's logic
+        # power and then its SRAM power if it has any, from 0.0: column 0
+        # of the term row is that 0.0, and a sequential accumulate along
+        # the row adds the rest in this order.
+        terms = 1
+        logic_col, sram_col = [], []
+        for j in range(n):
+            logic_col.append(terms)
+            terms += 1
+            if j in sram_components:
+                sram_col.append(terms)
+                terms += 1
+        self._logic_col = np.array(logic_col, dtype=np.intp)
+        self._sram_col = np.array(sram_col, dtype=np.intp)
+        self._n_terms = terms
         self.forest = Forest(models, col_bases, self.layout.width)
         self._memo: OrderedDict[tuple, _ConfigPlan] = OrderedDict()  # guarded-by: _memo_lock
         self._memo_lock = threading.Lock()
@@ -185,45 +213,53 @@ class PredictProgram:
         return plan
 
     # -- evaluation ------------------------------------------------------
+    def _evaluate(self, config: BoomConfig, events: EventBatch, workload):
+        """(clock, sram, register, comb) power in mW, ``sram`` with one
+        column per component of :attr:`sram_components`."""
+        plan = self.plan(config)
+        x = self.layout.features(plan.hardware, events, workload)
+        # Every group model's output is clamped at zero.
+        pred = np.maximum(self.forest.predict(x), 0.0)
+        clock = np.maximum(
+            plan.clock_static + pred[:, self.clock_seg] * plan.clock_r * plan.clock_g,
+            0.0,
+        )
+        register = plan.registers * pred[:, self.register_seg]
+        comb = plan.stable * pred[:, self.comb_seg]
+        # SRAM (Eq. 9-10): per-macro frequency is block frequency over the
+        # macro columns; positions add up per component, in order.
+        library = self.sram_model.library
+        per_macro = (
+            library.power_mw(
+                pred[:, self.read_seg] / plan.sram_n_col * plan.sram_read_pj
+                + pred[:, self.write_seg] / plan.sram_n_col * plan.sram_write_pj
+            )
+            + self.sram_model.c_constant_mw
+        )
+        n = x.shape[0]
+        slots = np.zeros((n, self.sram_components.size, self._position_width))
+        slots[:, self._position_row, self._position_slot] = plan.sram_scale * per_macro
+        sram = np.add.accumulate(slots, axis=2)[:, :, -1]
+        return clock, sram, register, comb
+
     def groups(
         self, config: BoomConfig, events: EventBatch, workload
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(clock, sram, register, comb) power, each ``(n, components)``
         in mW; components without SRAM have zero SRAM power."""
-        plan = self.plan(config)
-        pred = self.forest.predict(self.layout.features(plan.hardware, events, workload))
-        alpha = np.maximum(pred[:, self.clock_seg], 0.0)
-        clock = np.maximum(
-            plan.clock_static + alpha * plan.clock_r * plan.clock_g, 0.0
+        clock, sram_by_component, register, comb = self._evaluate(
+            config, events, workload
         )
-        register = plan.registers * np.maximum(pred[:, self.register_seg], 0.0)
-        comb = plan.stable * np.maximum(pred[:, self.comb_seg], 0.0)
-        # SRAM (Eq. 9-10): per-macro frequency is block frequency over the
-        # macro columns; positions add up per component, in order.
-        read = np.maximum(pred[:, self.read_seg], 0.0)
-        write = np.maximum(pred[:, self.write_seg], 0.0)
-        library = self.sram_model.library
-        per_macro = (
-            library.power_mw(
-                read / plan.sram_n_col * plan.sram_read_pj
-                + write / plan.sram_n_col * plan.sram_write_pj
-            )
-            + self.sram_model.c_constant_mw
-        )
-        positions = plan.sram_scale * per_macro
         sram = np.zeros_like(clock)
-        for k, j in enumerate(self.position_component):
-            sram[:, j] += positions[:, k]
+        sram[:, self.sram_components] = sram_by_component
         return clock, sram, register, comb
 
     def totals(self, config: BoomConfig, events: EventBatch, workload) -> np.ndarray:
         """Total power per interval, in mW: per component ``clock +
         register + comb``, then ``sram``, accumulated in component order."""
-        clock, sram, register, comb = self.groups(config, events, workload)
-        logic = clock + register + comb
-        total = np.zeros(len(events))
-        for j, has_sram in enumerate(self.has_sram):
-            total += logic[:, j]
-            if has_sram:
-                total += sram[:, j]
-        return total
+        clock, sram, register, comb = self._evaluate(config, events, workload)
+        terms = np.empty((clock.shape[0], self._n_terms))
+        terms[:, 0] = 0.0
+        terms[:, self._logic_col] = clock + register + comb
+        terms[:, self._sram_col] = sram
+        return np.add.accumulate(terms, axis=1)[:, -1]

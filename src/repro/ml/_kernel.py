@@ -65,12 +65,12 @@ long gbm_fit_exact(
     double *pred, long max_nodes, long *tree_off,
     int *feat_out, double *thr_out, int *left_out, int *right_out,
     double *val_out, long *nsamp_out);
-void forest_predict(
+long forest_predict(
     const double *x, long n_rows, long n_cols, long n_seg,
     const int *feat, const double *thr, const double *val,
     const long *seg_trees, const long *seg_depth, const long *seg_col,
     const long *seg_node, const long *seg_leaf, const long *seg_out,
-    long n_out, double *leaf, double *out);
+    long n_out, double *out);
 long forest_pack(
     long n_seg, void *const *src, const long *seg_trees,
     const long *seg_depth, const long *seg_node, const long *seg_leaf,
@@ -490,34 +490,71 @@ long forest_pack(
  * threshold) start at seg_node[s] + t * (2^D - 1) in heap order (the
  * children of slot h are 2h + 1 and 2h + 2); its 2^D bottom values start
  * at seg_leaf[s] + t * 2^D.  A leaf that ends above the bottom fills
- * every slot below it, so the descent is D branch-free steps.
- * leaf: n_rows * (largest tree count) scratch; out: n_rows x n_out, and
- * segment s writes column seg_out[s]. */
-void forest_predict(
+ * every slot below it, so the descent is D branch-free steps.  Four trees
+ * descend in lockstep, four independent chains of dependent loads, and
+ * a tail loop takes the last seg_trees[s] % 4.  Each row's leaf values
+ * are summed in tree order.  out: n_rows x n_out, and segment s writes
+ * column seg_out[s].  Returns 0, or -1 (writing nothing) when the leaf
+ * buffer of a segment with more than FOREST_STACK_TREES trees cannot be
+ * allocated. */
+#define FOREST_STACK_TREES 1024
+
+long forest_predict(
     const double *x, long n_rows, long n_cols, long n_seg,
     const int *feat, const double *thr, const double *val,
     const long *seg_trees, const long *seg_depth, const long *seg_col,
     const long *seg_node, const long *seg_leaf, const long *seg_out,
-    long n_out, double *leaf, double *out)
+    long n_out, double *out)
 {
+    long max_trees = 0;
+    for (long s = 0; s < n_seg; s++)
+        if (seg_trees[s] > max_trees) max_trees = seg_trees[s];
+    double stack_leaf[FOREST_STACK_TREES];
+    double *leaf = stack_leaf;
+    if (max_trees > FOREST_STACK_TREES) {
+        leaf = malloc((size_t)max_trees * sizeof(double));
+        if (!leaf) return -1;
+    }
     for (long s = 0; s < n_seg; s++) {
         const long nt = seg_trees[s], depth = seg_depth[s];
-        const long ni = (1L << depth) - 1;
-        for (long t = 0; t < nt; t++) {
-            const int *f = feat + seg_node[s] + t * ni;
-            const double *th = thr + seg_node[s] + t * ni;
-            const double *v = val + seg_leaf[s] + t * (ni + 1);
-            for (long i = 0; i < n_rows; i++) {
-                const double *xi = x + i * n_cols + seg_col[s];
+        const long ni = (1L << depth) - 1, nb = ni + 1;
+        const int *fs = feat + seg_node[s];
+        const double *ths = thr + seg_node[s];
+        const double *vs = val + seg_leaf[s];
+        for (long i = 0; i < n_rows; i++) {
+            const double *xi = x + i * n_cols + seg_col[s];
+            long t = 0;
+            for (; t + 4 <= nt; t += 4) {
+                const int *f0 = fs + t * ni, *f1 = f0 + ni;
+                const int *f2 = f1 + ni, *f3 = f2 + ni;
+                const double *th0 = ths + t * ni, *th1 = th0 + ni;
+                const double *th2 = th1 + ni, *th3 = th2 + ni;
+                long h0 = 0, h1 = 0, h2 = 0, h3 = 0;
+                for (long d = 0; d < depth; d++) {
+                    h0 = 2 * h0 + 1 + !(xi[f0[h0]] <= th0[h0]);
+                    h1 = 2 * h1 + 1 + !(xi[f1[h1]] <= th1[h1]);
+                    h2 = 2 * h2 + 1 + !(xi[f2[h2]] <= th2[h2]);
+                    h3 = 2 * h3 + 1 + !(xi[f3[h3]] <= th3[h3]);
+                }
+                const double *v = vs + t * nb;
+                leaf[t] = v[h0 - ni];
+                leaf[t + 1] = v[nb + h1 - ni];
+                leaf[t + 2] = v[2 * nb + h2 - ni];
+                leaf[t + 3] = v[3 * nb + h3 - ni];
+            }
+            for (; t < nt; t++) {
+                const int *f = fs + t * ni;
+                const double *th = ths + t * ni;
                 long h = 0;
                 for (long d = 0; d < depth; d++)
                     h = 2 * h + 1 + !(xi[f[h]] <= th[h]);
-                leaf[i * nt + t] = v[h - ni];
+                leaf[t] = vs[t * nb + h - ni];
             }
+            out[i * n_out + seg_out[s]] = pairwise_sum(leaf, nt);
         }
-        for (long i = 0; i < n_rows; i++)
-            out[i * n_out + seg_out[s]] = pairwise_sum(leaf + i * nt, nt);
     }
+    if (leaf != stack_leaf) free(leaf);
+    return 0;
 }
 """
 

@@ -230,26 +230,27 @@ class _PackedTrees:
         )
         if done < 0:  # pragma: no cover - MAX_DEPTH above the kernel's cap
             raise ValueError("a packed segment is deeper than the kernel packs")
-
-    def sum_values(self, kernel, X: np.ndarray, out: np.ndarray) -> None:
-        """Write every packed segment's column of ``out`` (C-contiguous
-        ``X`` and ``out``, one ``out`` column per forest segment)."""
-        ffi, lib = kernel
-        n = X.shape[0]
-        leaf = np.empty(n * int(self.n_trees.max(initial=0)))
-
-        def ptr(kind, a):
-            return ffi.cast(kind, a.ctypes.data)
-
-        lib.forest_predict(
-            ptr("double *", X), n, X.shape[1], self.n_trees.size,
+        # The layout's arrays never change and live as long as it does, so
+        # forest_predict's pointers to them are bound once, here.
+        self._bound = (
+            self.n_trees.size,
             ptr("int *", self.feature), ptr("double *", self.threshold),
             ptr("double *", self.value),
             ptr("long *", self.n_trees), ptr("long *", self.depth),
             ptr("long *", self.seg_col), ptr("long *", self.node_off),
             ptr("long *", self.leaf_off), ptr("long *", self.seg_out),
-            out.shape[1], ptr("double *", leaf), ptr("double *", out),
         )
+
+    def sum_values(self, kernel, X: np.ndarray, out: np.ndarray) -> None:
+        """Write every packed segment's column of ``out`` (C-contiguous
+        float64 ``X`` and ``out``, one ``out`` column per forest segment)."""
+        ffi, lib = kernel
+        done = lib.forest_predict(
+            ffi.from_buffer("double[]", X), X.shape[0], X.shape[1], *self._bound,
+            out.shape[1], ffi.from_buffer("double[]", out),
+        )
+        if done < 0:  # pragma: no cover - allocation failure
+            raise MemoryError("forest kernel could not allocate its leaf buffer")
 
 
 class GradientBoostingRegressor:

@@ -314,7 +314,10 @@ def _grow_exact(
         glc = np.cumsum(g, axis=2)[:, :, :C]
         gE = g_node if E is None else g_node[E]
         gr = gE[None, :, None] - glc
-        score = glc * glc / sh.den_l + gr * gr / sh.den_r
+        # Huge gradients overflow scores to +inf, and gains below to NaN
+        # (inf - inf); the kernel computes the same values silently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = glc * glc / sh.den_l + gr * gr / sh.den_r
         scm = np.where(good & sh.window, score, -np.inf)
 
         # Feature-major flatten per node: ties resolve to the lowest
@@ -325,7 +328,8 @@ def _grow_exact(
         best_sc = sct[_arange(Ke), best]
         bf = best // C
         bp = best - bf * C
-        gain = 0.5 * (best_sc - gE * gE / sh.hpl) - cfg.gamma
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain = 0.5 * (best_sc - gE * gE / sh.hpl) - cfg.gamma
         ai = np.nonzero(gain > _GAIN_EPS)[0]
         A = ai.size
         if A == 0:

@@ -622,7 +622,7 @@ def run_worker_pool(
     control plane, restarts crashed workers with exponential backoff
     (replaying the admin journal so replacements converge to the
     fleet's current model set), and fans ``SIGTERM``/``SIGINT`` out to
-    the workers.  Keyword arguments (``supervise``, ``max_restarts``,
+    the workers.  Keyword arguments (``max_restarts``,
     ``restart_backoff_ms``, ``startup_timeout_s``, ...) pass through to
     the Supervisor.  Returns the pool exit code: 0 when every worker
     drained cleanly.

@@ -114,6 +114,70 @@ class _HttpError(Exception):
         self.message = message
 
 
+class _ReadTimeout(_HttpError):
+    """A connection's read deadline passed (set on its stream reader):
+    408 mid-request, a quiet close while waiting for the next request."""
+
+
+class _ReadDeadline:
+    """One connection's read timeout: a single timer, lazily re-armed.
+
+    :meth:`arm` only stores the new expiry, so a read costs no timer and
+    no task.  The one pending timer, when it fires early, moves itself to
+    the stored expiry (or, while the connection is being served and not
+    read, one timeout ahead).  Once the expiry has passed it sets
+    :class:`_ReadTimeout` on the reader, which raises it from the pending
+    read, and keeps doing so every loop iteration until :meth:`disarm`:
+    a read woken by data in the same iteration has not yet made its next
+    wait, and the next firing wakes that one.  A ``None`` timeout bounds
+    nothing.
+    """
+
+    __slots__ = ("_loop", "_reader", "_timeout", "_handle", "expires")
+
+    def __init__(
+        self, reader: asyncio.StreamReader, timeout: float | None
+    ) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._reader = reader
+        self._timeout = timeout
+        self.expires: float | None = None
+        self._handle = (
+            None
+            if timeout is None
+            else self._loop.call_at(self._loop.time() + timeout, self._fire)
+        )
+
+    def arm(self) -> None:
+        """Bound the next read by one timeout from now."""
+        if self._handle is not None:
+            self.expires = self._loop.time() + self._timeout
+
+    def disarm(self) -> None:
+        """No read is bounded until the next :meth:`arm`."""
+        self.expires = None
+
+    def cancel(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+
+    def _fire(self) -> None:
+        loop = self._loop
+        now = loop.time()
+        expires = self.expires
+        if expires is None:
+            self._handle = loop.call_at(now + self._timeout, self._fire)
+        elif now < expires:
+            self._handle = loop.call_at(expires, self._fire)
+        else:
+            self._reader.set_exception(
+                _ReadTimeout(
+                    408, f"timed out reading request after {self._timeout:g}s"
+                )
+            )
+            self._handle = loop.call_soon(self._fire)
+
+
 def _top_from_query(query: str) -> int | None:
     """``top=N`` from a raw query string (None when absent)."""
     for part in query.split("&"):
@@ -335,12 +399,14 @@ class Gateway:
         self._handlers[task] = state
         peername = writer.get_extra_info("peername")
         peer_host = peername[0] if isinstance(peername, tuple) else "unknown"
+        deadline = _ReadDeadline(reader, self.resilience.read_timeout_s)
         try:
             while True:
                 state["phase"] = "idle"
                 try:
-                    parsed = await self._read_request(reader)
+                    parsed = await self._read_request(reader, deadline)
                 except _HttpError as exc:
+                    deadline.disarm()
                     state["phase"] = "busy"
                     self.stats.record_error(exc.status)
                     await self._respond(
@@ -352,6 +418,7 @@ class Gateway:
                     break
                 if parsed is None:
                     break
+                deadline.disarm()
                 state["phase"] = "busy"
                 method, path, headers, body = parsed
                 keep_alive = headers.get("connection", "").lower() != "close"
@@ -408,6 +475,7 @@ class Gateway:
             # the cancellation as an unhandled task exception).
             pass
         finally:
+            deadline.cancel()
             self._handlers.pop(task, None)
             writer.close()
             try:
@@ -430,31 +498,23 @@ class Gateway:
         digest = self.auth.check(headers.get("authorization"))
         return digest if digest is not None else peer_host
 
-    async def _read(self, coro, first_line: bool):
-        """One bounded stream read.
+    async def _read_request(
+        self, reader: asyncio.StreamReader, deadline: _ReadDeadline
+    ):
+        """Parse one HTTP request; ``None`` on a cleanly closed connection.
 
-        A peer that stalls mid-request answers 408 and loses the
-        connection — a slow client must not be able to hold a handler
-        (and therefore a drain) hostage.  A timeout while *waiting* for
-        the next request on an idle keep-alive connection is not an
-        error; the connection is just closed.
+        Every read is bounded by ``read_timeout_s`` (``deadline`` is
+        re-armed before each).  A peer that stalls mid-request answers
+        408 and loses the connection — a slow client must not be able to
+        hold a handler (and therefore a drain) hostage.  A timeout while
+        *waiting* for the next request on an idle keep-alive connection
+        is not an error; the connection is just closed.
         """
-        timeout = self.resilience.read_timeout_s
-        if timeout is None:
-            return await coro
+        deadline.arm()
         try:
-            return await asyncio.wait_for(coro, timeout)
-        except asyncio.TimeoutError:
-            if first_line:
-                return None
-            raise _HttpError(
-                408, f"timed out reading request after {timeout:g}s"
-            ) from None
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one HTTP request; ``None`` on a cleanly closed connection."""
-        try:
-            line = await self._read(reader.readline(), first_line=True)
+            line = await reader.readline()
+        except _ReadTimeout:
+            return None
         except ValueError:  # request line longer than the stream limit
             raise _HttpError(400, "request line too long") from None
         if not line:
@@ -468,10 +528,9 @@ class Gateway:
         max_count = self.resilience.max_header_count
         max_bytes = self.resilience.max_header_bytes
         while True:
+            deadline.arm()
             try:
-                header_line = await self._read(
-                    reader.readline(), first_line=False
-                )
+                header_line = await reader.readline()
             except ValueError:
                 raise _HttpError(400, "header line too long") from None
             if header_line in (b"\r\n", b"\n"):
@@ -499,11 +558,10 @@ class Gateway:
             raise _HttpError(400, "bad Content-Length")
         if length > _MAX_BODY_BYTES:
             raise _HttpError(413, f"body exceeds {_MAX_BODY_BYTES} bytes")
-        body = (
-            await self._read(reader.readexactly(length), first_line=False)
-            if length
-            else b""
-        )
+        body = b""
+        if length:
+            deadline.arm()
+            body = await reader.readexactly(length)
         return method.upper(), path, headers, body
 
     async def _respond(
@@ -746,6 +804,15 @@ class Gateway:
         self.stats.predict_requests += len(requests)
         loop = asyncio.get_running_loop()
         start = loop.time()
+        if single:
+            try:
+                response = await entry.batcher.submit(requests[0])
+            except Exception:
+                self.stats.record_latency(loop.time() - start)
+                raise
+            self.stats.record_latency(loop.time() - start)
+            self.stats.predict_responses += 1
+            return 200, wire.encode_response(response)
         # return_exceptions so one failing request doesn't leave its
         # siblings' exceptions unretrieved; wire validation already ran,
         # so a failure here is either a resilience shed (mapped to its
@@ -759,8 +826,7 @@ class Gateway:
             if isinstance(response, BaseException):
                 raise response
         self.stats.predict_responses += len(responses)
-        encoded = [wire.encode_response(response) for response in responses]
-        return 200, (encoded[0] if single else encoded)
+        return 200, [wire.encode_response(response) for response in responses]
 
 
 class GatewayThread:

@@ -1,10 +1,10 @@
 """Self-healing supervision for the ``SO_REUSEPORT`` worker pool.
 
-PR 7's worker pool was fail-fast: any worker dying unexpectedly drained
-the rest and exited non-zero, so a single segfaulting worker took the
+A fail-fast worker pool, where any worker dying unexpectedly drains the
+rest and exits non-zero, lets a single segfaulting worker take the
 whole fleet down — the opposite of what shared-nothing workers should
-buy.  :class:`Supervisor` replaces that parent loop with a supervision
-discipline:
+buy.  :class:`Supervisor` runs the pool's parent loop with a
+supervision discipline instead:
 
 * **Crash recovery.**  A reaped worker is respawned with exponential
   backoff (``restart_backoff_ms`` doubling per consecutive failure of
@@ -37,8 +37,7 @@ discipline:
   ``call_timeout_s``) degrades the view instead of blinding it.
 
 :func:`repro.serving.fleet.run_worker_pool` is a thin wrapper over this
-class; ``serve --workers N`` supervision is on by default and
-``--no-supervise`` restores the old fail-fast behavior.
+class; ``serve --workers N`` is always supervised.
 """
 
 from __future__ import annotations
@@ -301,10 +300,6 @@ class Supervisor:
         bind a loopback control listener, report both through
         :func:`~repro.serving.fleet.write_worker_announce`, serve until
         ``SIGTERM``/``SIGINT``, drain, and return its exit code.
-    supervise:
-        ``False`` restores the pre-supervision fail-fast contract: the
-        first unexpected worker death drains the pool and exits
-        non-zero.
     max_restarts / restart_window_s:
         The crash-loop breaker (:class:`CrashLoopBreaker`).
     restart_backoff_ms / restart_backoff_cap_ms:
@@ -346,7 +341,6 @@ class Supervisor:
         worker_main: Callable[[int, int], int],
         *,
         control_host: str = "127.0.0.1",
-        supervise: bool = True,
         max_restarts: int = 5,
         restart_window_s: float = 30.0,
         restart_backoff_ms: float = 100.0,
@@ -370,7 +364,6 @@ class Supervisor:
         self.n_workers = n_workers
         self.worker_main = worker_main
         self.control_host = control_host
-        self.supervise = supervise
         self.backoff = RestartBackoff(restart_backoff_ms, restart_backoff_cap_ms)
         self.breaker = CrashLoopBreaker(max_restarts, restart_window_s, clock)
         self.journal = AdminJournal()
@@ -551,7 +544,7 @@ class Supervisor:
             self._handle_exit(pid, status)
 
     def _handle_exit(self, pid: int, status: int) -> None:
-        """One reaped child: route to stop, fail-fast, or crash recovery."""
+        """One reaped child: route to stop or crash recovery."""
         code = os.waitstatus_to_exitcode(status)
         with self._lock:
             slot = next((s for s in self.slots if s.pid == pid), None)
@@ -575,19 +568,6 @@ class Supervisor:
                     # handlers dies by the signal itself — that is our
                     # doing, not a worker failure.
                     self._failures[pid] = code
-                return
-            if not self.supervise:
-                print(
-                    f"error: worker pid {pid} (slot {slot.index}) {desc}; "
-                    "fail-fast (--no-supervise): draining remaining workers",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                slot.state = "exited"
-                slot.pid = None
-                if code != 0:
-                    self._failures[pid] = code
-                self.request_stop()
                 return
             self._record_crash(slot, pid, desc)
 
@@ -884,18 +864,17 @@ class Supervisor:
                 payload["journal_seq"] = self.journal.append(
                     method, path, body, headers
                 )
-                if self.supervise:
-                    for r in results:
-                        if not (200 <= r["status"] < 300):
-                            print(
-                                f"warning: worker pid {r['pid']} "
-                                f"(slot {r['slot']}) failed accepted admin op "
-                                f"{method} {path} (HTTP {r['status']}); "
-                                "killing it to reconverge through the journal",
-                                file=sys.stderr,
-                                flush=True,
-                            )
-                            self._kill_pid(r["pid"], signal.SIGKILL)
+                for r in results:
+                    if not (200 <= r["status"] < 300):
+                        print(
+                            f"warning: worker pid {r['pid']} "
+                            f"(slot {r['slot']}) failed accepted admin op "
+                            f"{method} {path} (HTTP {r['status']}); "
+                            "killing it to reconverge through the journal",
+                            file=sys.stderr,
+                            flush=True,
+                        )
+                        self._kill_pid(r["pid"], signal.SIGKILL)
                 self._maybe_compact_journal()
             status = 200 if len(accepted) == len(targets) else 502
             return status, payload
@@ -922,7 +901,6 @@ class Supervisor:
         with self._lock:
             ready = sum(1 for s in self.slots if s.state == "ready")
             return {
-                "supervise": self.supervise,
                 "workers": self.n_workers,
                 "ready": ready,
                 "degraded": ready < self.n_workers,

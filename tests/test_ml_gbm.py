@@ -108,6 +108,27 @@ def _mixed_forest():
     return Forest(models, bases, n_cols)
 
 
+def _tree_count_forest():
+    """One model per (tree count 1-9, depth cap 0-6) pair, so segments
+    end on every remainder of the four-tree descent at every depth; some
+    trees stop above their cap."""
+    rng = np.random.default_rng(5)
+    models, bases = [], []
+    for n_trees in range(1, 10):
+        for depth in range(7):
+            X = rng.uniform(0.0, 4.0, size=(24, 3))
+            X[:, 0] = np.round(X[:, 0])
+            y = np.sin(X @ rng.normal(size=3)) + (X[:, 0] > 2)
+            models.append(
+                GradientBoostingRegressor(
+                    n_estimators=n_trees, learning_rate=0.5, max_depth=depth,
+                    reg_lambda=0.01,
+                ).fit(X, y)
+            )
+            bases.append(len(bases) % 4)
+    return Forest(models, bases, 4 + 3)
+
+
 def _numpy_packing(segments):
     """The packed layout built level by level in numpy: the reference the
     kernel's ``forest_pack`` is pinned to."""
@@ -192,6 +213,32 @@ class TestForestLayout:
         for name, want in _numpy_packing(forest.segments).items():
             got = getattr(packed, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 8])
+    def test_four_tree_descent_every_tree_count_and_depth(self, n_rows):
+        forest = _tree_count_forest()
+        counts = {(e.roots.size % 4, e.depth) for e in forest.segments}
+        assert counts == {(r, d) for r in range(4) for d in range(7)}
+        X = np.random.default_rng(n_rows).uniform(-1.0, 5.0, size=(n_rows, forest.n_cols))
+        self._assert_matches_reference(forest, X)
+        assert forest._layout.deep == []
+
+    def test_unpickled_forest_binds_its_own_arrays(self):
+        forest = _mixed_forest()
+        X = np.random.default_rng(4).uniform(-1.0, 5.0, size=(8, forest.n_cols))
+        want = forest.sum_values(X)
+        clone = pickle.loads(pickle.dumps(forest))
+        del forest
+        assert clone.sum_values(X).tobytes() == want.tobytes()
+        ffi, _lib = get_kernel()
+        layout = clone._layout
+        bound = [int(ffi.cast("intptr_t", p)) for p in layout._bound[1:]]
+        arrays = (
+            layout.feature, layout.threshold, layout.value, layout.n_trees,
+            layout.depth, layout.seg_col, layout.node_off, layout.leaf_off,
+            layout.seg_out,
+        )
+        assert bound == [a.ctypes.data for a in arrays]
 
     def test_packing_rejects_a_wrong_dtype(self):
         # The kernel reads node arrays in place, so a wrong dtype must not

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,34 @@ class TestKernelParity:
         a, _, X = self._pair(n_estimators=40, max_depth=3)
         loaded = gbm_from_dict(gbm_to_dict(a))
         _assert_same_ensemble(loaded._flat_ensemble(), a._flat_ensemble())
+
+
+class TestNumpyEngineWarnings:
+    """The numpy engine is as silent as the kernel: scores that overflow
+    to infinity (and their NaN gains) are part of the split contract,
+    not a floating-point error to report."""
+
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+    @pytest.mark.parametrize("scale", [1e160, 1e-310])
+    def test_extreme_targets_fit_without_warnings(self, scale, reg_lambda):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(24, 4))
+        X[:, 1] = np.round(X[:, 1])
+        y = rng.normal(size=24) * scale
+        kw = {
+            "n_estimators": 4, "learning_rate": 0.5, "max_depth": 3,
+            "reg_lambda": reg_lambda,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with _without_kernel():
+                without = GradientBoostingRegressor(**kw).fit(X, y)
+                predicted = without.predict(X)
+            if get_kernel() is not None:
+                with_kernel = GradientBoostingRegressor(**kw).fit(X, y)
+                assert with_kernel.predict(X).tobytes() == predicted.tobytes()
+        if get_kernel() is not None:
+            assert json.dumps(gbm_to_dict(with_kernel)) == json.dumps(gbm_to_dict(without))
 
 
 def _assert_same_ensemble(a, b):

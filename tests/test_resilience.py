@@ -457,6 +457,28 @@ def _raw_exchange(port, raw, timeout=10.0):
     return data
 
 
+def _read_response(sock):
+    """Read one HTTP response off a keep-alive socket: (head, body)."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-response"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(
+        next(
+            line.split(b":", 1)[1]
+            for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        )
+    )
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    return head, body
+
+
 class TestGatewayResilience:
     def test_overload_answers_429_with_retry_after_header(
         self, service, requests8, direct_totals
@@ -544,6 +566,91 @@ class TestGatewayResilience:
             )
             data = _raw_exchange(handle.port, raw)
             assert data.startswith(b"HTTP/1.1 408 ")
+
+    def test_stall_mid_headers_is_408(self, service):
+        with GatewayThread(
+            service,
+            resilience=ResilienceConfig(read_timeout_s=0.3),
+        ) as handle:
+            # The request line and one header arrive, the blank line
+            # that ends the header block never does.
+            raw = b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+            data = _raw_exchange(handle.port, raw)
+            assert data.startswith(b"HTTP/1.1 408 ")
+            _status, stats, _ = _http(handle.port, "GET", "/stats")
+        assert stats["gateway"]["errors"] == {"408": 1}
+
+    def test_idle_keep_alive_connection_closes_quietly(self, service):
+        with GatewayThread(
+            service,
+            resilience=ResilienceConfig(read_timeout_s=0.3),
+        ) as handle:
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=10.0
+            ) as sock:
+                # One full keep-alive exchange, then silence: the server
+                # closes the connection without writing a byte.
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                head, body = _read_response(sock)
+                assert head.startswith(b"HTTP/1.1 200 ")
+                assert b"Connection: keep-alive" in head
+                assert json.loads(body)["status"] == "ok"
+                started = time.monotonic()
+                assert sock.recv(65536) == b""
+                assert time.monotonic() - started < 5.0
+            # A connection that never sends a request line closes the
+            # same way.
+            assert _raw_exchange(handle.port, b"") == b""
+            _status, stats, _ = _http(handle.port, "GET", "/stats")
+        assert stats["gateway"]["errors"] == {}
+        assert stats["gateway"]["http_requests"] == 2
+
+    def test_model_call_longer_than_read_timeout_is_served(
+        self, service, requests8, direct_totals
+    ):
+        # The read timeout bounds reads only: a model call that outlasts
+        # it answers 200, and the keep-alive connection serves on.
+        injector = FaultInjector().delay_at(0, 0.8)
+        with GatewayThread(
+            FaultyService(service, injector),
+            resilience=ResilienceConfig(read_timeout_s=0.3),
+        ) as handle:
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
+            for request, want in zip(requests8[:2], direct_totals[:2]):
+                conn.request(
+                    "POST", "/predict", body=json.dumps(wire.encode_request(request))
+                )
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["total"] == want
+            conn.close()
+
+    def test_list_body_raises_its_first_error(self, service, requests8):
+        # A queue of one: the list's first object is admitted, the second
+        # and third are refused at admission.  The answer is the first
+        # error in list order, and the admitted sibling still ran.
+        injector = FaultInjector()
+        with GatewayThread(
+            FaultyService(service, injector),
+            resilience=ResilienceConfig(queue_depth=1),
+        ) as handle:
+            status, body, headers = _http(
+                handle.port, "POST", "/predict",
+                [wire.encode_request(r) for r in requests8[:3]],
+            )
+            assert status == 429
+            assert body["error"]["status"] == 429
+            assert "queue full" in body["error"]["message"]
+            assert int(headers["retry-after"]) >= 1
+            _status, stats, _ = _http(handle.port, "GET", "/stats")
+        assert [r.config.name for r in injector.served] == [
+            requests8[0].config.name
+        ]
+        gateway = stats["gateway"]
+        assert gateway["predict_requests"] == 3
+        assert gateway["predict_responses"] == 0
+        assert gateway["errors"] == {"429": 1}
+        assert stats["resilience"]["shed"]["overload"] == 2
 
     def test_stats_exposes_resilience_and_circuit_state(self, service):
         with GatewayThread(service) as handle:

@@ -574,15 +574,6 @@ class TestSupervisedPool:
         assert "did not announce within" in capfd.readouterr().err
         assert run.stop() == 0
 
-    def test_no_supervise_fail_fast(self, launch, capfd):
-        run = launch(_toy_worker, supervise=False)
-        run.wait_all_ready()
-        os.kill(run.sup.slots[0].pid, signal.SIGKILL)
-        assert run.join(timeout=30.0) == 1
-        err = capfd.readouterr().err
-        assert "fail-fast" in err
-        assert run.sup.snapshot()["restarts"] == 0
-
     def test_clean_drain_exits_zero_without_restarts(self, launch, capfd):
         run = launch(_toy_worker)
         run.wait_all_ready()
