@@ -88,7 +88,7 @@ def _fanout_payloads(n_tasks: int = 12):
         rng = np.random.default_rng(seed)
         X = rng.uniform(0.0, 4.0, size=(12, 30))
         y = 50.0 + 8.0 * X[:, 0] - 3.0 * X[:, 1] + rng.normal(scale=0.5, size=12)
-        payloads.append({"x": X, "y": y, "random_state": seed})
+        payloads.append({"x": X, "y": y})
     return payloads
 
 
@@ -97,7 +97,6 @@ def _fit_fanout_task(payload: dict) -> GradientBoostingRegressor:
         n_estimators=60,
         learning_rate=0.08,
         max_depth=3,
-        random_state=payload["random_state"],
     ).fit(payload["x"], payload["y"])
 
 

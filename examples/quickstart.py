@@ -51,7 +51,7 @@ def main() -> None:
         print(f"  {group:>9s}: {report.group_total(group):8.2f} mW")
     print(f"  {'total':>9s}: {report.total:8.2f} mW")
 
-    # The hand-off artifact: save the fitted model (format-v2 JSON), load
+    # The hand-off artifact: save the fitted model (format-v3 JSON), load
     # it back, and serve predictions through the batched service — the
     # architects' side needs no EDA flow at all.
     import tempfile

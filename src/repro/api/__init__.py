@@ -14,8 +14,9 @@ events alone.  This package is that hand-off, method-agnostically:
   string name (``"autopower"``, ``"mcpat-calib"``, ...); experiments and
   the CLI carry no per-method branches,
 * **versioned persistence** — :func:`save_model` / :func:`load_model`
-  wrap any method's state in a ``{format_version: 2, method, library,
-  state}`` envelope (legacy v1 AutoPower files still load),
+  wrap any method's state in a ``{format_version: 3, method, library,
+  state}`` envelope, each boosted model saved as its fused ensemble (v2
+  files and legacy v1 AutoPower files still load),
 * the **prediction service** — :class:`PredictionService` coalesces
   :class:`PredictRequest` streams into fused batched model calls.
 

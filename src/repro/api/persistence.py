@@ -1,11 +1,11 @@
-"""Versioned, method-agnostic model persistence (format v2).
+"""Versioned, method-agnostic model persistence (format v3).
 
 A fitted model is the paper's hand-off artifact: the flow-side team
 trains once against the slow, licensed EDA flow and ships a JSON file to
-architects who only have a performance simulator.  Format v2 wraps *any*
-registered method's :meth:`to_state` payload in a small envelope::
+architects who only have a performance simulator.  The envelope wraps
+*any* registered method's :meth:`to_state` payload::
 
-    {"format_version": 2, "method": "<registry name>",
+    {"format_version": 3, "method": "<registry name>",
      "library": "<tech library name or null>", "state": {...}}
 
 so one ``load_model`` call reconstructs whichever method wrote the file.
@@ -13,8 +13,11 @@ The envelope carries the technology library by *name* only — the library
 is part of the flow, not of the learned state — and loading validates it
 against the caller's library for the methods that depend on one.
 
-Legacy format-v1 files (AutoPower-only, state keys at the top level)
-still load; saving always writes v2.
+Format v3 saves each boosted model as its fused ensemble, one set of
+node lists (:mod:`repro.ml.serialize`); v2 saved one entry per tree
+under the same envelope.  v2 files and legacy v1 files (AutoPower-only,
+state keys at the top level) still load; saving always writes v3.  An
+envelope or state of the wrong shape raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ __all__ = [
     "save_model",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def model_to_envelope(model: Any) -> dict:
-    """The format-v2 envelope dict for any registered fitted model.
+    """The format-v3 envelope dict for any registered fitted model.
 
     This is the in-memory half of :func:`save_model` — the serving
     gateway ships envelopes over the wire (``PUT /models/<name>``)
@@ -61,9 +64,10 @@ def save_model(model: Any, path: str | Path) -> None:
 def model_from_envelope(envelope: Any, library: Any = None) -> Any:
     """Reconstruct a fitted model from an envelope dict.
 
-    The in-memory half of :func:`load_model`: accepts format-v2
+    The in-memory half of :func:`load_model`: accepts format-v3 and v2
     envelopes and legacy format-v1 AutoPower payloads.  ``library`` is
-    resolved by name for methods that carry one.
+    resolved by name for methods that carry one.  Raises
+    :class:`ValueError` for any envelope or state of the wrong shape.
     """
     if not isinstance(envelope, dict):
         raise ValueError(
@@ -72,14 +76,22 @@ def model_from_envelope(envelope: Any, library: Any = None) -> Any:
     version = envelope.get("format_version")
     if version == 1:
         # v1 predates the envelope: AutoPower state at the top level.
-        method, library_name, state = "autopower", envelope["library"], envelope
-    elif version == FORMAT_VERSION:
-        method = envelope["method"]
-        library_name = envelope.get("library")
-        state = envelope["state"]
+        method, state = "autopower", envelope
+    elif version in (2, FORMAT_VERSION):
+        method, state = envelope.get("method"), envelope.get("state")
     else:
         raise ValueError(f"unsupported model file version {version!r}")
-    spec = get_method(method)
+    library_name = envelope.get("library")
+    if not isinstance(method, str):
+        raise ValueError("model envelope 'method' must be a string")
+    if not isinstance(state, dict):
+        raise ValueError("model envelope 'state' must be a JSON object")
+    if library_name is not None and not isinstance(library_name, str):
+        raise ValueError("model envelope 'library' must be a string or null")
+    try:
+        spec = get_method(method)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
     if library_name is not None:
         if library is None:
             from repro.library.stdcell import default_library
@@ -90,13 +102,20 @@ def model_from_envelope(envelope: Any, library: Any = None) -> Any:
                 f"model was trained against library {library_name!r}, "
                 f"got {library.name!r}"
             )
-    return spec.cls.from_state(state, library=library)
+    # Every ``from_state`` reads its state with plain indexing; a missing
+    # key or a value of the wrong type is a malformed file, not a bug.
+    try:
+        return spec.cls.from_state(state, library=library)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(
+            f"malformed {spec.name} model state: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def load_model(path: str | Path, library: Any = None) -> Any:
     """Load a fitted model saved by :func:`save_model`.
 
-    Accepts both format-v2 envelopes and legacy format-v1 AutoPower
+    Accepts format-v3 and v2 envelopes and legacy format-v1 AutoPower
     files.  ``library`` is resolved by name for methods that carry one
     (pass it explicitly when using a non-default technology library).
     """

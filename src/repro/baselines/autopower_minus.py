@@ -32,9 +32,7 @@ __all__ = ["AutoPowerMinus"]
 
 def _fit_group_gbm(payload: dict) -> GradientBoostingRegressor:
     """Fit one (component, group) GBM — the picklable executor task."""
-    model = GradientBoostingRegressor(
-        random_state=payload["random_state"], **payload["gbm_params"]
-    )
+    model = GradientBoostingRegressor(**payload["gbm_params"])
     model.fit(payload["x"], payload["y"])
     return model
 
@@ -52,12 +50,10 @@ class AutoPowerMinus:
         self,
         use_program_features: bool = True,
         gbm_params: dict | None = None,
-        random_state: int = 0,
         n_jobs: int | None = None,
     ) -> None:
         self.use_program_features = use_program_features
         self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
-        self.random_state = random_state
         self.n_jobs = n_jobs
         # Per component, in ``COMPONENTS`` order: hardware parameters, raw
         # and normalized event rates, IPC, then program features.
@@ -90,14 +86,7 @@ class AutoPowerMinus:
                     [r.power.component(comp.name).group(group) for r in results]
                 )
                 keys.append((comp.name, group))
-                payloads.append(
-                    {
-                        "gbm_params": self.gbm_params,
-                        "random_state": self.random_state,
-                        "x": x,
-                        "y": y,
-                    }
-                )
+                payloads.append({"gbm_params": self.gbm_params, "x": x, "y": y})
         with get_executor(n_jobs, "thread") as executor:
             models = executor.map(_fit_group_gbm, payloads)
         self._models = dict(zip(keys, models))
@@ -145,7 +134,6 @@ class AutoPowerMinus:
         return {
             "use_program_features": self.use_program_features,
             "gbm_params": dict(self.gbm_params),
-            "random_state": self.random_state,
             "models": [
                 {"component": comp, "group": group, "model": gbm_to_dict(m)}
                 for (comp, group), m in self._models.items()
@@ -158,7 +146,6 @@ class AutoPowerMinus:
         model = cls(
             use_program_features=bool(state["use_program_features"]),
             gbm_params=state["gbm_params"],
-            random_state=int(state["random_state"]),
         )
         model._models = {
             (entry["component"], entry["group"]): gbm_from_dict(entry["model"])

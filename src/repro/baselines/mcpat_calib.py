@@ -41,7 +41,7 @@ class McPatCalib:
     ----------
     mcpat:
         The analytical model used as a feature source.
-    gbm_params / random_state:
+    gbm_params:
         Hyper-parameters of the boosted regression model.
     """
 
@@ -55,11 +55,9 @@ class McPatCalib:
         self,
         mcpat: McPatAnalytical | None = None,
         gbm_params: dict | None = None,
-        random_state: int = 0,
     ) -> None:
         self.mcpat = mcpat if mcpat is not None else McPatAnalytical()
         self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
-        self.random_state = random_state
         self._model: GradientBoostingRegressor | None = None
         self._forest: Forest | None = None
 
@@ -82,9 +80,7 @@ class McPatCalib:
             raise ValueError("cannot fit on an empty result list")
         x = features_by_config(results, self.layout, self._mcpat_total)
         y = np.array([r.power.total for r in results])
-        self._model = GradientBoostingRegressor(
-            random_state=self.random_state, **self.gbm_params
-        )
+        self._model = GradientBoostingRegressor(**self.gbm_params)
         self._model.fit(x, y)
         self._compile()
         return self
@@ -113,7 +109,6 @@ class McPatCalib:
             raise ValueError("cannot serialize an unfitted McPatCalib")
         return {
             "gbm_params": dict(self.gbm_params),
-            "random_state": self.random_state,
             "mcpat": self.mcpat.to_state(),
             "model": gbm_to_dict(self._model),
         }
@@ -124,7 +119,6 @@ class McPatCalib:
         model = cls(
             mcpat=McPatAnalytical.from_state(state["mcpat"]),
             gbm_params=state["gbm_params"],
-            random_state=int(state["random_state"]),
         )
         model._model = gbm_from_dict(state["model"])
         model._compile()

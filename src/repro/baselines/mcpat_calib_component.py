@@ -46,11 +46,9 @@ class McPatCalibComponent:
         self,
         mcpat: McPatAnalytical | None = None,
         gbm_params: dict | None = None,
-        random_state: int = 0,
     ) -> None:
         self.mcpat = mcpat if mcpat is not None else McPatAnalytical()
         self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
-        self.random_state = random_state
         self._models: dict[str, GradientBoostingRegressor] = {}
         self._forest: Forest | None = None
 
@@ -70,9 +68,7 @@ class McPatCalibComponent:
         x = features_by_config(results, self.layout, self._mcpat_components)
         for comp, block in zip(COMPONENTS, self.layout.split(x)):
             y = np.array([r.power.component(comp.name).total for r in results])
-            model = GradientBoostingRegressor(
-                random_state=self.random_state, **self.gbm_params
-            )
+            model = GradientBoostingRegressor(**self.gbm_params)
             model.fit(block, y)
             self._models[comp.name] = model
         self._compile()
@@ -109,7 +105,6 @@ class McPatCalibComponent:
             raise ValueError("cannot serialize an unfitted McPatCalibComponent")
         return {
             "gbm_params": dict(self.gbm_params),
-            "random_state": self.random_state,
             "mcpat": self.mcpat.to_state(),
             "models": {name: gbm_to_dict(m) for name, m in self._models.items()},
         }
@@ -120,7 +115,6 @@ class McPatCalibComponent:
         model = cls(
             mcpat=McPatAnalytical.from_state(state["mcpat"]),
             gbm_params=state["gbm_params"],
-            random_state=int(state["random_state"]),
         )
         model._models = {
             name: gbm_from_dict(sub) for name, sub in state["models"].items()

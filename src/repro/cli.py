@@ -5,7 +5,7 @@ Three command families:
 * ``python -m repro <experiment>`` — regenerate the paper's tables and
   figures by name (``all`` runs everything),
 * ``python -m repro fit <method> --out model.json`` — train any
-  registered method through :mod:`repro.api` and write a format-v2 model
+  registered method through :mod:`repro.api` and write a format-v3 model
   file (the flow-side half of the paper's hand-off),
 * ``python -m repro predict --model model.json`` — load a model file and
   predict configurations from performance-simulator events alone via the
@@ -101,7 +101,7 @@ def _cmd_fit(argv: list[str]) -> int:
         prog="python -m repro fit",
         description=(
             "Train a registered method on known configurations and write a "
-            "format-v2 model file (repro.api.save_model)."
+            "format-v3 model file (repro.api.save_model)."
         ),
     )
     parser.add_argument("method", help="registry name, e.g. autopower / mcpat-calib")

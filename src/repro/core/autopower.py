@@ -82,7 +82,7 @@ class AutoPower:
     use_program_features:
         Feed microarchitecture-independent program features to the SRAM
         activity model (paper default: on).
-    ridge_alpha / gbm_params / random_state:
+    ridge_alpha / gbm_params:
         Shared hyper-parameters for the linear and boosted sub-models.
     n_jobs:
         Default worker count of ``fit`` (``None`` defers to the CLI
@@ -100,23 +100,19 @@ class AutoPower:
         use_program_features: bool = True,
         ridge_alpha: float = 1e-3,
         gbm_params: dict | None = None,
-        random_state: int = 0,
         n_jobs: int | None = None,
     ) -> None:
         self.library = library if library is not None else default_library()
         self.n_jobs = n_jobs
         self.mapper = mapper if mapper is not None else MacroMapper(self.library.sram)
-        self.clock_model = ClockPowerModel(
-            self.library, ridge_alpha, gbm_params, random_state
-        )
+        self.clock_model = ClockPowerModel(self.library, ridge_alpha, gbm_params)
         self.sram_model = SramPowerModel(
             self.library,
             self.mapper,
             use_program_features=use_program_features,
             gbm_params=gbm_params,
-            random_state=random_state,
         )
-        self.logic_model = LogicPowerModel(ridge_alpha, gbm_params, random_state)
+        self.logic_model = LogicPowerModel(ridge_alpha, gbm_params)
         self.train_config_names: tuple[str, ...] = ()
         self._program: PredictProgram | None = None
         self._fitted = False

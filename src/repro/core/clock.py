@@ -54,24 +54,20 @@ DEFAULT_GBM = {
 class _ComponentClockModel:
     """The three sub-models of one component."""
 
-    def __init__(self, ridge_alpha: float, gbm_params: dict, random_state: int) -> None:
+    def __init__(self, ridge_alpha: float, gbm_params: dict) -> None:
         self.f_reg = RidgeRegression(alpha=ridge_alpha, nonnegative=True)
         self.f_gate = RidgeRegression(alpha=ridge_alpha)
-        self.f_alpha = GradientBoostingRegressor(
-            random_state=random_state, **gbm_params
-        )
+        self.f_alpha = GradientBoostingRegressor(**gbm_params)
 
 
 def _fit_clock_component(payload: dict) -> _ComponentClockModel:
     """Fit one component's three clock sub-models from a pure payload.
 
     A module-level function of plain arrays and hyper-parameters — the
-    picklable task the executor fans out; the payload carries its own
-    ``random_state``, so the result does not depend on the executor.
+    picklable task the executor fans out, so the result does not depend
+    on the executor.
     """
-    model = _ComponentClockModel(
-        payload["ridge_alpha"], payload["gbm_params"], payload["random_state"]
-    )
+    model = _ComponentClockModel(payload["ridge_alpha"], payload["gbm_params"])
     model.f_reg.fit(payload["h"], payload["r_labels"])
     model.f_gate.fit(payload["h"], payload["g_labels"])
     model.f_alpha.fit(payload["x"], payload["a_labels"])
@@ -96,12 +92,10 @@ class ClockPowerModel:
         library: TechLibrary,
         ridge_alpha: float = 1e-3,
         gbm_params: dict | None = None,
-        random_state: int = 0,
     ) -> None:
         self.library = library
         self.ridge_alpha = ridge_alpha
         self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
-        self.random_state = random_state
         self._models: dict[str, _ComponentClockModel] = {}
         self._fitted = False
 
@@ -172,7 +166,6 @@ class ClockPowerModel:
         return {
             "ridge_alpha": self.ridge_alpha,
             "gbm_params": self.gbm_params,
-            "random_state": self.random_state,
             "h": np.stack(h_rows),
             "r_labels": np.array(r_labels),
             "g_labels": np.array(g_labels),

@@ -62,14 +62,11 @@ def _fit_ridge_gbm_pair(
 
     Shared by the register and combinational fits — both decompose into a
     hardware-only ridge and an activity GBM per component.  Module-level
-    and array-only, so the executor can run it in worker processes; the
-    payload carries its own ``random_state``.
+    and array-only, so the executor can run it in worker processes.
     """
     ridge = RidgeRegression(alpha=payload["ridge_alpha"], nonnegative=True)
     ridge.fit(payload["h"], payload["h_labels"])
-    gbm = GradientBoostingRegressor(
-        random_state=payload["random_state"], **payload["gbm_params"]
-    )
+    gbm = GradientBoostingRegressor(**payload["gbm_params"])
     gbm.fit(payload["x"], payload["x_labels"])
     return ridge, gbm
 
@@ -81,11 +78,9 @@ class RegisterPowerModel:
         self,
         ridge_alpha: float = 1e-3,
         gbm_params: dict | None = None,
-        random_state: int = 0,
     ) -> None:
         self.ridge_alpha = ridge_alpha
         self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
-        self.random_state = random_state
         self._f_reg: dict[str, RidgeRegression] = {}
         self._f_act: dict[str, GradientBoostingRegressor] = {}
         self._fitted = False
@@ -129,7 +124,6 @@ class RegisterPowerModel:
         return {
             "ridge_alpha": self.ridge_alpha,
             "gbm_params": self.gbm_params,
-            "random_state": self.random_state,
             "h": np.stack(h_rows),
             "h_labels": np.array(r_labels),
             "x": x[rows],
@@ -159,11 +153,9 @@ class CombPowerModel:
         self,
         ridge_alpha: float = 1e-3,
         gbm_params: dict | None = None,
-        random_state: int = 0,
     ) -> None:
         self.ridge_alpha = ridge_alpha
         self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
-        self.random_state = random_state
         self._f_sta: dict[str, RidgeRegression] = {}
         self._f_var: dict[str, GradientBoostingRegressor] = {}
         self._fitted = False
@@ -209,7 +201,6 @@ class CombPowerModel:
         return {
             "ridge_alpha": self.ridge_alpha,
             "gbm_params": self.gbm_params,
-            "random_state": self.random_state,
             "h": np.stack(h_rows),
             "h_labels": np.array(sta_labels),
             "x": x[rows],
@@ -239,10 +230,9 @@ class LogicPowerModel:
         self,
         ridge_alpha: float = 1e-3,
         gbm_params: dict | None = None,
-        random_state: int = 0,
     ) -> None:
-        self.register_model = RegisterPowerModel(ridge_alpha, gbm_params, random_state)
-        self.comb_model = CombPowerModel(ridge_alpha, gbm_params, random_state)
+        self.register_model = RegisterPowerModel(ridge_alpha, gbm_params)
+        self.comb_model = CombPowerModel(ridge_alpha, gbm_params)
         self._fitted = False
 
     def fit(

@@ -64,26 +64,22 @@ class PredictedBlock:
 class _PositionModel:
     """Hardware + activity models of one SRAM position."""
 
-    def __init__(self, component: str, gbm_params: dict, random_state: int) -> None:
+    def __init__(self, component: str, gbm_params: dict) -> None:
         self.component = component
         self.capacity_law: FittedLaw | None = None
         self.throughput_law: FittedLaw | None = None
         self.width_law: FittedLaw | None = None
-        self.f_read = GradientBoostingRegressor(random_state=random_state, **gbm_params)
-        self.f_write = GradientBoostingRegressor(
-            random_state=random_state + 1, **gbm_params
-        )
+        self.f_read = GradientBoostingRegressor(**gbm_params)
+        self.f_write = GradientBoostingRegressor(**gbm_params)
 
 
 def _fit_sram_position(payload: dict) -> _PositionModel:
     """Fit one position's scaling laws and activity GBMs from a payload.
 
     Module-level and built from plain arrays only, so the executor can
-    hand it to worker processes; the payload carries its own seeds.
+    hand it to worker processes.
     """
-    model = _PositionModel(
-        payload["component"], payload["gbm_params"], payload["random_state"]
-    )
+    model = _PositionModel(payload["component"], payload["gbm_params"])
     detector = ScalingPatternDetector(
         max_combination_size=payload["max_combination_size"],
         tolerance=payload["tolerance"],
@@ -119,13 +115,11 @@ class SramPowerModel:
         mapper: MacroMapper | None = None,
         use_program_features: bool = True,
         gbm_params: dict | None = None,
-        random_state: int = 0,
     ) -> None:
         self.library = library
         self.mapper = mapper if mapper is not None else MacroMapper(library.sram)
         self.use_program_features = use_program_features
         self.gbm_params = dict(DEFAULT_GBM if gbm_params is None else gbm_params)
-        self.random_state = random_state
         self.detector = ScalingPatternDetector(max_combination_size=3)
         self._positions: dict[str, _PositionModel] = {}
         self._component_positions: dict[str, tuple[str, ...]] = {}
@@ -210,7 +204,6 @@ class SramPowerModel:
         return {
             "component": comp_name,
             "gbm_params": self.gbm_params,
-            "random_state": self.random_state,
             "max_combination_size": self.detector.max_combination_size,
             "tolerance": self.detector.tolerance,
             "params": params,

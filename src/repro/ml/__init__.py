@@ -28,8 +28,8 @@ engine (:mod:`repro.ml.tree`, one batched split search per depth level)
 appending one tree per round; the two are byte-identical.  Prediction
 descends every row through every tree in lockstep, and
 :class:`~repro.ml.gbm.Forest` walks many models' ensembles in one
-compiled call.  :mod:`repro.ml.serialize` saves one preorder node list
-per tree and rebuilds the ensemble from them on load.
+compiled call.  :mod:`repro.ml.serialize` saves that same node-array
+set and validates it on load.
 """
 
 from repro.ml.gbm import GradientBoostingRegressor

@@ -270,9 +270,9 @@ class GradientBoostingRegressor:
         Minimum hessian sum per leaf (= samples for squared loss; >= 0).
     gamma:
         Minimum split gain (>= 0).
-    random_state:
-        Recorded in saved models.  The fit uses every row and feature in
-        every round, so it is deterministic and draws no random numbers.
+
+    The fit uses every row and feature in every round, so it is
+    deterministic and draws no random numbers.
     """
 
     def __init__(
@@ -283,7 +283,6 @@ class GradientBoostingRegressor:
         reg_lambda: float = 1.0,
         min_child_weight: float = 1.0,
         gamma: float = 0.0,
-        random_state: int = 0,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -305,7 +304,6 @@ class GradientBoostingRegressor:
         self.reg_lambda = float(reg_lambda)
         self.min_child_weight = float(min_child_weight)
         self.gamma = float(gamma)
-        self.random_state = int(random_state)
 
         self.base_score_: float = 0.0
         self.n_features_: int = 0

@@ -5,14 +5,18 @@ lets a team train once against the (slow, licensed) EDA flow and ship the
 fitted model to architects who only have the performance simulator.  All
 formats are plain dicts of JSON types — no pickle.
 
-A GBM saves one entry per tree: the tree's preorder node lists
-(``feature[]``, ``threshold[]``, ``left[]``, ``right[]``, ``value[]``,
-``n_samples[]``; a leaf has feature ``-1`` and children ``-1``) and the
-model columns its features index.  The writer derives them from the
-model's fused ensemble; the reader builds the ensemble straight from
-them, after checking every index a compiled descent would follow.  Files
-from earlier releases — column-subsampled or histogram-fitted models,
-and the nested ``root`` tree format — still load and predict the same.
+A GBM saves its fused ensemble (format 3): ``roots[]``, the first node
+of each tree, and one list each of ``feature``, ``threshold``, ``left``,
+``right``, ``value`` and ``n_samples`` over every tree's nodes in
+preorder.  Children are indices within their tree; a leaf has feature
+``-1``, children ``-1`` and threshold ``0.0``, so the state stays strict
+JSON.  The reader checks every type, length and index a compiled descent
+would follow before it builds the ensemble.  Formats 1 and 2 saved one
+entry per tree (with the model columns its features index, or as a
+nested ``root`` tree); one legacy converter turns them into the same
+lists and the same validator checks them, so files from earlier releases
+— column-subsampled or histogram-fitted models included — still load and
+predict the same.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ __all__ = [
 ]
 
 _NODE_KEYS = ("feature", "threshold", "left", "right", "value", "n_samples")
+_INT_KEYS = frozenset({"roots", "feature", "left", "right", "n_samples"})
+_PARAM_KEYS = ("n_estimators", "max_depth", "reg_lambda", "min_child_weight", "gamma")
 
 
 # -- ridge ------------------------------------------------------------------
@@ -66,13 +72,16 @@ def gbm_to_dict(model: GradientBoostingRegressor) -> dict:
     if model._ensemble is None:
         raise ValueError("cannot serialize an unfitted GradientBoostingRegressor")
     ens = model._ensemble
-    n_features = model.n_features_
     n_nodes = ens.value.size
-    bounds = ens.roots.tolist() + [n_nodes]
-    sizes = np.diff(bounds)
-    root = np.repeat(ens.roots, sizes)
+    root = np.repeat(ens.roots, np.diff(ens.roots, append=n_nodes))
     leaf = ens.left == np.arange(n_nodes)
-    nodes = {
+    return {
+        "kind": "gbm",
+        "learning_rate": model.learning_rate,
+        "base_score": model.base_score_,
+        "n_features": model.n_features_,
+        "params": {key: getattr(model, key) for key in _PARAM_KEYS},
+        "roots": ens.roots.tolist(),
         "feature": np.where(leaf, -1, ens.feature).tolist(),
         "threshold": np.where(leaf, 0.0, ens.threshold).tolist(),
         "left": np.where(leaf, -1, ens.left - root).tolist(),
@@ -80,114 +89,85 @@ def gbm_to_dict(model: GradientBoostingRegressor) -> dict:
         "value": ens.value.tolist(),
         "n_samples": ens.n_samples.tolist(),
     }
-    # The fit has no sampling or histogram knobs; the format keeps their
-    # keys, at the values that mean full-data exact fitting, so saved
-    # bytes do not change and older readers still load the files.
-    params = {
-        "n_estimators": model.n_estimators,
-        "max_depth": model.max_depth,
-        "reg_lambda": model.reg_lambda,
-        "min_child_weight": model.min_child_weight,
-        "gamma": model.gamma,
-        "subsample": 1.0,
-        "colsample_bytree": 1.0,
-        "tree_method": "exact",
-        "max_bin": 256,
-        "random_state": model.random_state,
-    }
-    trees = []
-    for a, b in zip(bounds, bounds[1:]):
-        tree = {
-            "kind": "tree",
-            "n_features": n_features,
-            "max_depth": model.max_depth,
-            "reg_lambda": model.reg_lambda,
-            "tree_method": "exact",
-            "nodes": {key: values[a:b] for key, values in nodes.items()},
-        }
-        trees.append({"tree": tree, "columns": list(range(n_features))})
-    return {
-        "kind": "gbm",
-        "learning_rate": model.learning_rate,
-        "base_score": model.base_score_,
-        "n_features": n_features,
-        "params": params,
-        "trees": trees,
-    }
 
 
 def gbm_from_dict(state: dict) -> GradientBoostingRegressor:
-    if state.get("kind") != "gbm":
-        raise ValueError(f"not a gbm state: {state.get('kind')!r}")
-    params = state["params"]
+    kind = state.get("kind") if isinstance(state, dict) else None
+    if kind != "gbm":
+        raise ValueError(f"not a gbm state: {kind!r}")
+    params = state.get("params")
+    if not isinstance(params, dict):
+        raise ValueError("a gbm state needs a 'params' object")
     model = GradientBoostingRegressor(
-        n_estimators=params["n_estimators"],
-        learning_rate=state["learning_rate"],
-        max_depth=params["max_depth"],
-        reg_lambda=params["reg_lambda"],
-        min_child_weight=params["min_child_weight"],
-        gamma=params["gamma"],
-        random_state=params["random_state"],
+        learning_rate=_number(state, "learning_rate"),
+        **{key: _number(params, key) for key in _PARAM_KEYS},
     )
-    model.base_score_ = float(state["base_score"])
-    model.n_features_ = int(state["n_features"])
-    model._ensemble = _ensemble_from_trees(state["trees"], model.n_features_)
+    model.base_score_ = float(_number(state, "base_score"))
+    model.n_features_ = int(_number(state, "n_features"))
+    if "trees" in state:
+        lists = _lists_from_trees(state["trees"], model.n_features_)
+    else:
+        lists = state
+    model._ensemble = _ensemble_from_lists(lists, model.n_features_)
     return model
 
 
-def _ensemble_from_trees(trees: list, n_features: int) -> _FlatEnsemble:
-    """The fused ensemble of saved trees, validated before anything walks it.
+def _number(state: dict, key: str) -> int | float:
+    value = state.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"gbm {key!r} must be a number, got {value!r}")
+    return value
 
-    Feature ``j`` of a tree reads model column ``columns[j]``.  Rejects
-    unequal or empty node lists, a column outside ``[0, n_features)``, a
-    feature outside the tree's columns, and a child that does not follow
-    its parent inside the same tree (preorder) or has two parents — each
+
+def _array(lists: dict, key: str) -> np.ndarray:
+    """``lists[key]`` as a 1-D array, once it is a list of the right type."""
+    values = lists.get(key)
+    if not isinstance(values, list):
+        raise ValueError(f"gbm {key!r} must be a list")
+    array = np.array(values)  # a ragged nested list raises ValueError
+    integer = key in _INT_KEYS
+    if array.ndim != 1 or (array.size and array.dtype.kind not in ("i" if integer else "if")):
+        raise ValueError(f"gbm {key!r} must be a list of {'integers' if integer else 'numbers'}")
+    return array.astype(np.int64 if integer else float, copy=False)
+
+
+def _ensemble_from_lists(lists: dict, n_features: int) -> _FlatEnsemble:
+    """The fused ensemble of format-3 node lists, validated before anything
+    walks it.
+
+    Rejects a list of the wrong type, unequal or empty node lists, roots
+    that do not rise strictly from 0 below the node count, a feature
+    outside ``[-1, n_features)``, and a child that does not follow its
+    parent inside the same tree (preorder) or has two parents — each
     would send the compiled descent outside its arrays.
     """
-    if not trees:
-        raise ValueError("a saved gbm needs at least one tree")
-    lists: dict = {key: [] for key in _NODE_KEYS}
-    lengths: dict = {key: [] for key in _NODE_KEYS}
-    n_cols, columns = [], []
-    for entry in trees:
-        tree = entry["tree"]
-        if tree.get("kind") != "tree":
-            raise ValueError(f"not a tree state: {tree.get('kind')!r}")
-        nodes = tree["nodes"] if "nodes" in tree else _nodes_from_nested(tree["root"])
-        for key in _NODE_KEYS:
-            lists[key] += nodes[key]
-            lengths[key].append(len(nodes[key]))
-        n_cols.append(len(entry["columns"]))
-        columns += entry["columns"]
-    sizes = lengths["feature"]
-    if 0 in sizes or any(lengths[key] != sizes for key in _NODE_KEYS):
-        raise ValueError("a tree's node lists must have equal, non-zero length")
+    roots = _array(lists, "roots")
+    feature, threshold, left, right, value, n_samples = (
+        _array(lists, key) for key in _NODE_KEYS
+    )
+    n_nodes = feature.size
+    if n_nodes == 0 or any(
+        a.size != n_nodes for a in (threshold, left, right, value, n_samples)
+    ):
+        raise ValueError("a gbm's node lists must have equal, non-zero length")
+    if roots.size == 0 or roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n_nodes:
+        raise ValueError("a gbm's roots must rise strictly from 0 below its node count")
+    if np.any((feature < -1) | (feature >= n_features)):
+        raise ValueError(f"a node's feature is outside [-1, {n_features})")
 
-    sizes = np.array(sizes)
-    n_cols = np.array(n_cols)
-    columns = np.array(columns, dtype=np.int64)
-    roots = np.cumsum(sizes) - sizes
-    tree_of = np.repeat(np.arange(sizes.size), sizes)
-    root = roots[tree_of]
-    ids = np.arange(root.size)
-    feature = np.array(lists["feature"], dtype=np.int64)
+    sizes = np.diff(roots, append=n_nodes)
+    root = np.repeat(roots, sizes)
+    end = root + np.repeat(sizes, sizes)
+    ids = np.arange(n_nodes)
     split = feature >= 0
-    left = np.where(split, np.array(lists["left"], dtype=np.int64) + root, ids)
-    right = np.where(split, np.array(lists["right"], dtype=np.int64) + root, ids)
-    end = root + sizes[tree_of]
-    if np.any(columns < 0) or np.any(columns >= n_features):
-        raise ValueError(f"a tree column is outside [0, {n_features})")
-    if np.any(split & (feature >= n_cols[tree_of])):
-        raise ValueError("a node's feature is outside its tree's columns")
+    left = np.where(split, left + root, ids)
+    right = np.where(split, right + root, ids)
     for child in (left, right):
         if np.any(split & ((child <= ids) | (child >= end))):
             raise ValueError("a node's child is not a later node of its tree")
     if np.bincount(np.concatenate((left[split], right[split]))).max(initial=0) > 1:
         raise ValueError("a node is the child of two parents")
 
-    model_feature = np.zeros(ids.size, dtype=np.int32)
-    col_base = (np.cumsum(n_cols) - n_cols)[tree_of]
-    model_feature[split] = columns[(col_base + feature)[split]]
     # Levels of internal nodes, all trees at once; every node has one
     # parent and follows it, so the walk ends.
     depth = 0
@@ -197,15 +177,46 @@ def _ensemble_from_trees(trees: list, n_features: int) -> _FlatEnsemble:
         level = np.concatenate((left[level], right[level]))
         level = level[split[level]]
     return _FlatEnsemble(
-        model_feature,
-        np.where(split, np.array(lists["threshold"], dtype=float), np.inf),
+        np.where(split, feature, 0).astype(np.int32),
+        np.where(split, threshold, np.inf),
         left.astype(np.int32),
         right.astype(np.int32),
-        np.array(lists["value"], dtype=float),
-        np.array(lists["n_samples"], dtype=np.int64),
+        value,
+        n_samples,
         roots.astype(np.int32),
         depth,
     )
+
+
+def _lists_from_trees(trees: list, n_features: int) -> dict:
+    """Format-3 node lists of a format-1/2 GBM's per-tree entries.
+
+    Feature ``j`` of a tree reads model column ``columns[j]``; the lists
+    index model columns directly.  Checks what the format-3 lists cannot
+    show (a column outside ``[0, n_features)``, a feature outside its
+    tree's columns, a tree whose node lists differ in length) and leaves
+    the rest to :func:`_ensemble_from_lists`.  A value of the wrong type
+    raises ``TypeError`` or ``KeyError``, which
+    :func:`repro.api.model_from_envelope` reports as ``ValueError``.
+    """
+    lists: dict = {key: [] for key in ("roots",) + _NODE_KEYS}
+    for entry in trees:
+        tree = entry["tree"]
+        if tree.get("kind") != "tree":
+            raise ValueError(f"not a tree state: {tree.get('kind')!r}")
+        nodes = tree["nodes"] if "nodes" in tree else _nodes_from_nested(tree["root"])
+        columns = entry["columns"]
+        if len({len(nodes[key]) for key in _NODE_KEYS}) != 1:
+            raise ValueError("a tree's node lists must have equal length")
+        if not all(type(c) is int and 0 <= c < n_features for c in columns):
+            raise ValueError(f"a tree column is outside [0, {n_features})")
+        if any(f >= len(columns) for f in nodes["feature"]):
+            raise ValueError("a node's feature is outside its tree's columns")
+        lists["roots"].append(len(lists["feature"]))
+        lists["feature"] += [columns[f] if f >= 0 else -1 for f in nodes["feature"]]
+        for key in _NODE_KEYS[1:]:
+            lists[key] += nodes[key]
+    return lists
 
 
 def _nodes_from_nested(root: dict) -> dict:

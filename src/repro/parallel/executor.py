@@ -19,9 +19,9 @@ need, as a literal, in its ``get_executor(n_jobs, kind)`` call.  The only
 setting is the worker count.
 
 Determinism contract: ``Executor.map`` submits tasks in iteration order
-and returns results in that same order, and every task payload carries its
-own seeds (``random_state`` fields), so the fitted state is numerically
-identical regardless of pool kind or worker count.
+and returns results in that same order, and every task is a pure
+function of its payload (the fits draw no random numbers), so the fitted
+state is numerically identical regardless of pool kind or worker count.
 
 Worker-count resolution (first match wins):
 

@@ -147,7 +147,7 @@ class ServingClient:
         """Load/hot-reload a model (``PUT /models/<name>``).
 
         A string is a server-side model file path; a dict is a full
-        format-v2 envelope shipped in the request body.
+        model envelope shipped in the request body.
         """
         body = (
             {"path": path_or_envelope}

@@ -35,7 +35,7 @@ per-worker control port).
 And the admin plane (:class:`~repro.serving.fleet.ModelFleet`):
 
 * ``PUT /models/<name>`` — load or hot-reload a model from a
-  server-side file path or a full v2 envelope in the body; the swap is
+  server-side file path or a full model envelope in the body; the swap is
   atomic and in-flight requests finish on the old model bitwise.
 * ``DELETE /models/<name>`` — drain-then-unload.
 * ``GET /models`` / ``GET /models/<name>`` — the loaded-model listing.
@@ -775,7 +775,7 @@ class Gateway:
         loop = asyncio.get_running_loop()
         try:
             model = await loop.run_in_executor(None, loader)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             source = value if kind == "path" else "request envelope"
             raise wire.WireError(
                 400, f"cannot load model from {source!r}: {exc}"

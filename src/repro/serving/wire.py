@@ -161,13 +161,15 @@ def decode_model_load(obj: Any) -> tuple[str, Any]:
 
     * ``{"path": "model.json"}`` — load a server-side model file
       (``repro.api.load_model``),
-    * a full format-v2 envelope ``{"format_version": 2, "method": ...,
-      "library": ..., "state": ...}`` — load from the request body
-      itself (``repro.api.model_from_envelope``).
+    * a full model envelope ``{"format_version": 3, "method": ...,
+      "library": ..., "state": ...}`` (or a v2 one) — load from the
+      request body itself (``repro.api.model_from_envelope``).
 
     Returns ``("path", str)`` or ``("envelope", dict)``; raises
     :class:`WireError` 400 on anything else, before any model state is
-    touched.
+    touched.  A malformed envelope or state fails later, in
+    ``model_from_envelope``, with a ``ValueError`` the gateway also
+    answers with 400.
     """
     if not isinstance(obj, dict):
         raise WireError(400, "model load body must be a JSON object")

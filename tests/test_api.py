@@ -1,5 +1,5 @@
-"""Tests for the ``repro.api`` façade: protocol, registry, persistence v2,
-and the batched prediction service."""
+"""Tests for the ``repro.api`` façade: protocol, registry, versioned
+persistence, and the batched prediction service."""
 
 import json
 
@@ -125,7 +125,7 @@ class TestPersistenceV2:
             path = tmp_path / f"{name}.json"
             api.save_model(model, path)
             envelope = json.loads(path.read_text())
-            assert envelope["format_version"] == 2
+            assert envelope["format_version"] == 3
             assert envelope["method"] == name
             clone = api.load_model(path)
             assert type(clone) is type(model)
@@ -180,7 +180,7 @@ class TestLegacyV1Compat:
     ):
         # A format-v1 file written before the repro.api redesign must
         # still load through load_model, and re-serializing it must produce
-        # the same v2 file (and therefore byte-identical predictions) as
+        # the same file (and therefore byte-identical predictions) as
         # saving the original model.
         v1_path = tmp_path / "model_v1.json"
         _as_v1_file(autopower2, v1_path)
@@ -188,13 +188,13 @@ class TestLegacyV1Compat:
         from_v1 = api.load_model(v1_path)
         assert isinstance(from_v1, AutoPower)
 
-        v2_direct = tmp_path / "direct_v2.json"
-        v2_upgraded = tmp_path / "upgraded_v2.json"
-        api.save_model(autopower2, v2_direct)
-        api.save_model(from_v1, v2_upgraded)
-        assert v2_direct.read_bytes() == v2_upgraded.read_bytes()
+        direct = tmp_path / "direct.json"
+        upgraded = tmp_path / "upgraded.json"
+        api.save_model(autopower2, direct)
+        api.save_model(from_v1, upgraded)
+        assert direct.read_bytes() == upgraded.read_bytes()
 
-        reloaded = api.load_model(v2_upgraded)
+        reloaded = api.load_model(upgraded)
         for config, w, events in eval_cells[:8]:
             expected = autopower2.predict_total(config, events, w)
             assert from_v1.predict_total(config, events, w) == expected

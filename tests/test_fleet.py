@@ -19,6 +19,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,9 @@ from repro.serving.fleet import (
     validate_model_name,
     write_worker_announce,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +254,39 @@ class TestModelAdmin:
             )
             assert status == 400  # name validated before any load work
             assert "model names" in body["error"]["message"]
+
+    def test_put_malformed_envelopes_are_400_and_keep_the_model(
+        self, autopower2, mcpat_model, request_objs
+    ):
+        saved = json.loads((DATA / "v2_models.json").read_text())
+        v2 = saved["models"]["mcpat-calib"]["envelope"]
+        v3 = api.model_to_envelope(api.model_from_envelope(v2))
+
+        def tampered(envelope, edit):
+            body = json.loads(json.dumps(envelope))
+            edit(body)
+            return body
+
+        bodies = [
+            tampered(v2, lambda b: b.update(state="x")),
+            tampered(v2, lambda b: b["state"]["model"].update(params=None)),
+            tampered(v2, lambda b: b["state"]["model"].update(trees=5)),
+            tampered(v2, lambda b: b.update(method=[])),
+            tampered(v3, lambda b: b["state"]["model"].update(left="0")),
+        ]
+        expected = _expected_totals(autopower2, request_objs)
+        with GatewayThread(
+            _two_model_fleet(autopower2, mcpat_model)
+        ) as handle:
+            for body in bodies:
+                status, _h, reply = _http(handle.port, "PUT", "/models/default", body)
+                assert status == 400, reply
+                assert "cannot load model" in reply["error"]["message"]
+            status, _h, info = _http(handle.port, "GET", "/models/default")
+            assert info["generation"] == 1 and info["method"] == "autopower"
+            status, _h, predictions = _http(handle.port, "POST", "/predict", request_objs)
+            assert status == 200
+            assert [r["total"] for r in predictions] == expected
 
     def test_lru_eviction_spares_default(
         self, autopower2, mcpat_model, request_objs, tmp_path

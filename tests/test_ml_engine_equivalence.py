@@ -199,11 +199,15 @@ class TestExactEquivalence:
         X_test = rng.uniform(-0.5, 1.5, size=(200, 6))
         got = model.predict(X_test)
         # reference: sequential per-row, per-tree Python traversal of the
-        # saved preorder node lists
+        # saved preorder node lists (children are tree-local)
         want = np.full(X_test.shape[0], model.base_score_)
-        for entry in gbm_to_dict(model)["trees"]:
-            nodes = entry["tree"]["nodes"]
-            for i, row in enumerate(X_test[:, entry["columns"]]):
+        state = gbm_to_dict(model)
+        bounds = state["roots"] + [len(state["value"])]
+        for a, b in zip(bounds, bounds[1:]):
+            nodes = {
+                key: state[key][a:b] for key in ("feature", "threshold", "left", "right", "value")
+            }
+            for i, row in enumerate(X_test):
                 node = 0
                 while nodes["feature"][node] >= 0:
                     go_left = row[nodes["feature"][node]] <= nodes["threshold"][node]

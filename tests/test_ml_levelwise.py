@@ -454,8 +454,16 @@ class TestSerializationCompat:
                 d["right"] = nest(nodes, nodes["right"][i])
             return d
 
-        for entry in state["trees"]:
-            entry["tree"]["root"] = nest(entry["tree"].pop("nodes"))
+        keys = ("feature", "threshold", "left", "right", "value", "n_samples")
+        bounds = state.pop("roots") + [len(state["value"])]
+        lists = {key: state.pop(key) for key in keys}
+        state["trees"] = [
+            {
+                "tree": {"kind": "tree", "root": nest({k: v[a:b] for k, v in lists.items()})},
+                "columns": list(range(model.n_features_)),
+            }
+            for a, b in zip(bounds, bounds[1:])
+        ]
         clone = gbm_from_dict(state)
         assert np.array_equal(model.predict(X), clone.predict(X))
         _assert_same_ensemble(model._flat_ensemble(), clone._flat_ensemble())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro.api as api
+import repro.ml._kernel as kernel_mod
 from repro.arch.config import config_by_name
 from repro.arch.workloads import workload_by_name
 from repro.core.autopower import AutoPower
@@ -20,20 +21,22 @@ from repro.ml.serialize import (
     ridge_from_dict,
     ridge_to_dict,
 )
+from repro.serving import wire
 
 DATA = Path(__file__).parent / "data"
+V2_METHODS = ("autopower", "autopower-minus", "mcpat-calib", "mcpat-calib-component")
 
 # sha256 of saved models, pinned so any change to the saved bytes is a
 # deliberate, reviewed format change.
-AUTOPOWER2_SHA256 = "d9150ce48d9cc77dde6425b67f4acdc560ac7482c170d7f12e313fc6168ea1e0"
-SEEDED_GBM_SHA256 = "3bddb515f1b016a48283a79339de03b334ed7f394ed5176a0a48c22d1e1d8ad9"
+AUTOPOWER2_SHA256 = "e294a3cec0f70c6f88ada8350854bcbeb1b0a26d183a28a415ba7756cb1d47a8"
+SEEDED_GBM_SHA256 = "c9d3db85a8f8755cd03372a31585d55bba1d241c0916b3061b8bcb0f7eb59b9f"
 # sha256 of ``json.dumps(model.to_state())`` for the learned baselines
 # fitted on the 2-config split.
 BASELINE2_STATE_SHA256 = {
-    "autopower-minus": "d88af7d6b5dd2c2eb0ef2994f29237139fff795919596a9f2b4f563749b131c3",
-    "mcpat-calib": "51416cfe6ade564dd5ce27835aea9f819beefbf11e265972abec395dbafb9e4c",
+    "autopower-minus": "d614c1c6fa2332d0f840dbd73fd9bd7ae485aa9be268e9666d597ab4e033bcaa",
+    "mcpat-calib": "5dd3cbb1ef9b7a67221313e19b56be16e940acb5792db592af02c4890b9e9212",
     "mcpat-calib-component": (
-        "ce58b0aaae0cbc5c819c528732b30957ac26356a8edce0ffa31fd78955f70991"
+        "b5e33b59a99b23bab6c6dbb4b502eb397a539f42b54ede2d342ce1432974540f"
     ),
 }
 
@@ -174,63 +177,210 @@ class TestLegacyFiles:
         assert got == legacy[kind]["predict"]
 
 
-def _tamper_bad_column(trees):
+class TestV2Files:
+    """Models the last format-v2 release saved (``tests/data/v2_models.json``,
+    written by ``tests/data/make_v2_models.py``: each learned method's
+    envelope and its ``predict_total`` on held-out requests) load, predict
+    bit for bit with and without the compiled kernel, and re-save as v3."""
+
+    @pytest.fixture(scope="class")
+    def saved(self):
+        return json.loads((DATA / "v2_models.json").read_text())
+
+    def _check(self, saved, name, monkeypatch=None):
+        entry = saved["models"][name]
+        assert entry["envelope"]["format_version"] == 2
+        if monkeypatch is not None:
+            monkeypatch.setattr(kernel_mod, "_kernel", None)
+            monkeypatch.setattr(kernel_mod, "_kernel_tried", True)
+        model = api.model_from_envelope(json.loads(json.dumps(entry["envelope"])))
+        requests = [wire.decode_request(obj) for obj in saved["requests"]]
+        got = [model.predict_total(r.config, r.events, r.workload) for r in requests]
+        assert got == entry["predict_total"]
+        return model, requests
+
+    @pytest.mark.parametrize("name", V2_METHODS)
+    def test_loads_and_predicts_the_same(self, saved, name):
+        self._check(saved, name)
+
+    @pytest.mark.parametrize("name", V2_METHODS)
+    def test_predicts_the_same_without_kernel(self, saved, name, monkeypatch):
+        self._check(saved, name, monkeypatch)
+
+    @pytest.mark.parametrize("name", V2_METHODS)
+    def test_resaves_as_v3(self, saved, name):
+        model, requests = self._check(saved, name)
+        text = json.dumps(api.model_to_envelope(model))
+        assert '"trees"' not in text and '"random_state"' not in text
+        envelope = json.loads(text)
+        assert envelope["format_version"] == 3
+        clone = api.model_from_envelope(envelope)
+        got = [clone.predict_total(r.config, r.events, r.workload) for r in requests]
+        assert got == saved["models"][name]["predict_total"]
+        assert json.dumps(api.model_to_envelope(clone)) == text
+
+
+# -- format-v3 tampers, on one saved gbm state ---------------------------------
+def _split_root(gbm) -> int:
+    return next(r for r in gbm["roots"] if gbm["feature"][r] >= 0)
+
+
+def _tamper_bad_column(gbm):
+    # A node's feature is the model column it reads.
+    gbm["feature"][_split_root(gbm)] = gbm["n_features"]
+
+
+def _tamper_feature_below_leaf(gbm):
+    gbm["feature"][_split_root(gbm)] = -2
+
+
+def _tamper_child_out_of_range(gbm):
+    gbm["left"][_split_root(gbm)] = len(gbm["left"]) + 5
+
+
+def _tamper_child_before_parent(gbm):
+    gbm["right"][_split_root(gbm)] = 0
+
+
+def _tamper_shared_child(gbm):
+    root = _split_root(gbm)
+    gbm["right"][root] = gbm["left"][root]
+
+
+def _tamper_mismatched_lengths(gbm):
+    gbm["threshold"].pop()
+
+
+def _tamper_roots_not_increasing(gbm):
+    gbm["roots"][1] = gbm["roots"][0]
+
+
+def _tamper_root_out_of_range(gbm):
+    gbm["roots"][-1] = len(gbm["feature"])
+
+
+def _tamper_first_root_not_zero(gbm):
+    gbm["roots"][0] = 1
+
+
+def _tamper_no_trees(gbm):
+    gbm["roots"] = []
+
+
+def _tamper_wrong_type(gbm):
+    gbm["feature"] = [float(f) for f in gbm["feature"]]
+
+
+def _tamper_not_a_list(gbm):
+    gbm["value"] = {"0": 1.0}
+
+
+# -- the same tampers on a format-v2 gbm state's per-tree entries ---------------
+def _v2_split_tree(trees) -> dict:
+    return next(e for e in trees if e["tree"]["nodes"]["feature"][0] >= 0)
+
+
+def _v2_tamper_bad_column(trees):
     trees[0]["columns"] = [4000] * len(trees[0]["columns"])
 
 
-def _split_root(trees) -> dict:
-    return next(
-        e["tree"]["nodes"] for e in trees if e["tree"]["nodes"]["feature"][0] >= 0
-    )
+def _v2_tamper_bad_feature(trees):
+    entry = _v2_split_tree(trees)
+    entry["tree"]["nodes"]["feature"][0] = len(entry["columns"])
 
 
-def _tamper_child_out_of_range(trees):
-    nodes = _split_root(trees)
+def _v2_tamper_child_out_of_range(trees):
+    nodes = _v2_split_tree(trees)["tree"]["nodes"]
     nodes["left"][0] = len(nodes["left"]) + 5
 
 
-def _tamper_child_before_parent(trees):
-    _split_root(trees)["right"][0] = 0
+def _v2_tamper_child_before_parent(trees):
+    _v2_split_tree(trees)["tree"]["nodes"]["right"][0] = 0
 
 
-def _tamper_shared_child(trees):
-    nodes = _split_root(trees)
+def _v2_tamper_shared_child(trees):
+    nodes = _v2_split_tree(trees)["tree"]["nodes"]
     nodes["right"][0] = nodes["left"][0]
 
 
-def _tamper_mismatched_lengths(trees):
+def _v2_tamper_mismatched_lengths(trees):
     trees[0]["tree"]["nodes"]["threshold"].pop()
 
 
+def _v2_tamper_empty_tree(trees):
+    trees[0]["tree"]["nodes"] = {key: [] for key in trees[0]["tree"]["nodes"]}
+
+
+def _v2_tamper_no_trees(trees):
+    trees.clear()
+
+
+def _v2_tamper_wrong_type(trees):
+    trees[0]["columns"] = "0123"
+
+
 class TestTamperedFiles:
-    """A saved GBM is validated on load, before any descent walks it."""
+    """A saved GBM is validated on load, before any descent walks it; a
+    format-v2 GBM goes through the legacy converter into the same checks."""
 
     @pytest.fixture(scope="class")
-    def envelope(self, flow, train_configs, workloads):
+    def v3_envelope(self, flow, train_configs, workloads):
         model = api.fit(
             "mcpat-calib", flow=flow, train_configs=train_configs, workloads=workloads
         )
         return api.model_to_envelope(model)
 
-    @pytest.mark.parametrize(
-        "tamper",
-        [
-            _tamper_bad_column,
-            _tamper_child_out_of_range,
-            _tamper_child_before_parent,
-            _tamper_shared_child,
-            _tamper_mismatched_lengths,
-        ],
-    )
-    def test_load_rejects(self, envelope, tamper, tmp_path):
+    @pytest.fixture(scope="class")
+    def v2_envelope(self):
+        saved = json.loads((DATA / "v2_models.json").read_text())
+        return saved["models"]["mcpat-calib"]["envelope"]
+
+    def _rejects(self, envelope, tamper, path):
         state = json.loads(json.dumps(envelope))
-        tamper(state["state"]["model"]["trees"])
-        path = tmp_path / "tampered.json"
+        tamper(state["state"]["model"])
         path.write_text(json.dumps(state))
         with pytest.raises(ValueError):
             api.load_model(path)
 
-    def test_untampered_loads(self, envelope, tmp_path):
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _tamper_bad_column,
+            _tamper_feature_below_leaf,
+            _tamper_child_out_of_range,
+            _tamper_child_before_parent,
+            _tamper_shared_child,
+            _tamper_mismatched_lengths,
+            _tamper_roots_not_increasing,
+            _tamper_root_out_of_range,
+            _tamper_first_root_not_zero,
+            _tamper_no_trees,
+            _tamper_wrong_type,
+            _tamper_not_a_list,
+        ],
+    )
+    def test_load_rejects(self, v3_envelope, tamper, tmp_path):
+        self._rejects(v3_envelope, tamper, tmp_path / "tampered.json")
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _v2_tamper_bad_column,
+            _v2_tamper_bad_feature,
+            _v2_tamper_child_out_of_range,
+            _v2_tamper_child_before_parent,
+            _v2_tamper_shared_child,
+            _v2_tamper_mismatched_lengths,
+            _v2_tamper_empty_tree,
+            _v2_tamper_no_trees,
+            _v2_tamper_wrong_type,
+        ],
+    )
+    def test_v2_load_rejects(self, v2_envelope, tamper, tmp_path):
+        self._rejects(v2_envelope, lambda gbm: tamper(gbm["trees"]), tmp_path / "t.json")
+
+    @pytest.mark.parametrize("version", ["v3", "v2"])
+    def test_untampered_loads(self, v3_envelope, v2_envelope, version, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(envelope))
+        path.write_text(json.dumps(v3_envelope if version == "v3" else v2_envelope))
         assert api.load_model(path) is not None
