@@ -1,7 +1,7 @@
 """Shared plumbing for the serving smoke scripts.
 
 The smoke scripts (``smoke_gateway.py``, ``smoke_drain.py``,
-``smoke_fleet.py``) run the *installed artifact the user runs* — a real
+``smoke_fleet.py``, ``smoke_dse.py``) run the *installed artifact the user runs* — a real
 ``python -m repro serve`` subprocess — and talk to it over real HTTP.
 They run identically locally and in CI: every serve binds ``--port 0``
 and the scripts parse the machine-parseable ``REPRO-SERVING addr=...``
@@ -71,9 +71,8 @@ class ServeProcess:
 
     Captures stdout on a pump thread (so the child never blocks on a
     full pipe), waits for the ``REPRO-SERVING`` announce line, and
-    exposes ``host`` / ``port`` / ``control`` parsed from it.
-    ``env_extra`` adds environment variables (e.g. ``REPRO_CHAOS_DIR``
-    for the process-chaos smoke).
+    exposes ``host`` / ``port`` parsed from it.  ``env_extra`` adds
+    environment variables (e.g. a private ``REPRO_FLOW_CACHE_DIR``).
     """
 
     def __init__(
@@ -110,7 +109,6 @@ class ServeProcess:
             )
         self.host = self.announce["host"]
         self.port = self.announce["port"]
-        self.control = self.announce["control"]
 
     def _read_stdout(self) -> None:
         for line in self.proc.stdout:
@@ -157,30 +155,6 @@ class ServeProcess:
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait(timeout=10)
-
-
-def wait_until(predicate, timeout: float = 30.0, interval: float = 0.1):
-    """Poll ``predicate`` until it returns a truthy value, or fail.
-
-    The predicate may raise ``OSError`` (e.g. a connection refused while
-    a worker restarts) — that counts as "not yet".  Returns the truthy
-    value.
-    """
-    deadline = time.monotonic() + timeout
-    last = None
-    while time.monotonic() < deadline:
-        try:
-            last = predicate()
-        except OSError as exc:
-            last = f"OSError: {exc}"
-        else:
-            if last:
-                return last
-        time.sleep(interval)
-    raise SystemExit(
-        f"SMOKE FAILURE: condition not reached within {timeout:g}s "
-        f"(last: {last!r})"
-    )
 
 
 def check(condition: bool, message: str, context=None) -> None:

@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         # smoke's cold pass, nothing else.
         cache_dir = f"{tmp}/flow-cache"
         serve = ServeProcess(
-            ["--model", model_path, "--port", "0", "--workers", "1"],
+            ["--model", model_path, "--port", "0"],
             env_extra={"REPRO_FLOW_CACHE_DIR": cache_dir},
         )
         try:

@@ -81,8 +81,7 @@ def _print_overview() -> None:
         "\nmodel commands:"
         "\n  fit <method> --out model.json [--train C1,C15] [--jobs N]"
         "\n  predict --model model.json [--config C8[,C9]] [--workload dhrystone]"
-        "\n  serve --model [NAME=]model.json [--port 8000] [--workers N]"
-        "\n        [--max-restarts N] [--restart-backoff-ms MS]"
+        "\n  serve --model [NAME=]model.json [--port 8000]"
         "\n        [--auth-token T | --auth-token-env VAR | --auth-token-file F]"
         "\n        [--rate-limit R --rate-burst B] [--max-batch-size B]"
         "\n        [--queue-depth N] [--default-deadline-ms MS]"
@@ -272,78 +271,6 @@ def _parse_model_specs(
     return named
 
 
-def _build_fleet(args, default_name: str, models: dict, resilience):
-    """One fresh fleet over the preloaded models (per process)."""
-    from repro.serving import ModelFleet
-
-    fleet = ModelFleet(
-        max_models=args.max_models,
-        default_model=default_name,
-        max_batch_size=args.max_batch_size,
-        resilience=resilience,
-        service_kwargs={"n_jobs": args.jobs},
-    )
-    for name, (path, model) in models.items():
-        fleet.add_model(name, model, source=f"path:{path}")
-    return fleet
-
-
-def _serve_worker(
-    announce_fd: int,
-    bound_port: int,
-    args,
-    default_name: str,
-    models: dict,
-    resilience,
-    auth,
-) -> int:
-    """One ``--workers N`` child: its own gateway on the shared port."""
-    import signal
-
-    from repro.serving import Gateway, RateLimiter
-    from repro.serving.faults import ProcessChaos
-    from repro.serving.fleet import write_worker_announce
-
-    chaos = ProcessChaos.from_env()
-    if chaos is not None:
-        chaos.enact("startup")  # may crash or hang here, by design
-
-    gateway = Gateway(
-        _build_fleet(args, default_name, models, resilience),
-        host=args.host,
-        port=bound_port,
-        resilience=resilience,
-        auth=auth,
-        rate_limiter=RateLimiter(args.rate_limit, args.rate_burst),
-        reuse_port=True,
-        control_port=0,
-    )
-
-    async def run() -> None:
-        await gateway.start()
-        write_worker_announce(announce_fd, gateway.port, gateway.control_port)
-        loop = asyncio.get_running_loop()
-        shutdown = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, shutdown.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await shutdown.wait()
-        if chaos is not None:
-            chaos.enact("drain")  # may crash mid-drain, by design
-        await gateway.stop(drain=True, drain_timeout=args.drain_timeout)
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
-    except Exception as exc:
-        print(f"worker error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_serve(argv: list[str]) -> int:
     """``python -m repro serve --model model.json --port N``."""
     parser = argparse.ArgumentParser(
@@ -354,7 +281,7 @@ def _cmd_serve(argv: list[str]) -> int:
             "batched model calls; PUT/DELETE /models/<name> hot-reload and "
             "unload models; GET /healthz and GET /stats expose liveness and "
             "serving counters.  Once up, one machine-parseable line is "
-            "printed: 'REPRO-SERVING addr=http://HOST:PORT workers=N ...'."
+            "printed: 'REPRO-SERVING addr=http://HOST:PORT pid=PID'."
         ),
     )
     parser.add_argument(
@@ -392,49 +319,6 @@ def _cmd_serve(argv: list[str]) -> int:
         "--port", type=int, default=8000, help="bind port (0 = ephemeral)"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "process-per-core scale-out: fork N shared-nothing workers on "
-            "one SO_REUSEPORT socket, with a supervising parent control "
-            "plane that merges /stats, fans out model admin, and restarts "
-            "crashed workers (default: 1)"
-        ),
-    )
-    parser.add_argument(
-        "--max-restarts",
-        type=int,
-        default=5,
-        metavar="N",
-        help=(
-            "crash-loop breaker: give up, drain survivors and exit "
-            "non-zero after more than N worker crashes within 30s "
-            "(0 = the first crash is fatal; default: 5)"
-        ),
-    )
-    parser.add_argument(
-        "--restart-backoff-ms",
-        type=float,
-        default=100.0,
-        metavar="MS",
-        help=(
-            "base delay before restarting a crashed worker, doubling per "
-            "consecutive failure up to 5s (default: 100)"
-        ),
-    )
-    parser.add_argument(
-        "--startup-timeout",
-        type=float,
-        default=60.0,
-        metavar="S",
-        help=(
-            "kill a forked worker that has not announced readiness "
-            "within this many seconds (default: 60)"
-        ),
-    )
-    parser.add_argument(
         "--auth-token",
         default=None,
         metavar="TOKEN",
@@ -462,7 +346,7 @@ def _cmd_serve(argv: list[str]) -> int:
         default=None,
         metavar="R",
         help=(
-            "per-client rate limit in requests/second (per worker); an "
+            "per-client rate limit in requests/second; an "
             "exhausted client answers 429 + Retry-After while other "
             "clients keep being served (default: unlimited)"
         ),
@@ -537,19 +421,8 @@ def _cmd_serve(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers < 1 or args.max_models < 1:
-        print(
-            "error: --workers and --max-models must be >= 1", file=sys.stderr
-        )
-        return 2
-    if args.max_restarts < 0 or args.restart_backoff_ms < 0:
-        print(
-            "error: --max-restarts and --restart-backoff-ms must be >= 0",
-            file=sys.stderr,
-        )
-        return 2
-    if args.startup_timeout <= 0:
-        print("error: --startup-timeout must be > 0", file=sys.stderr)
+    if args.max_models < 1:
+        print("error: --max-models must be >= 1", file=sys.stderr)
         return 2
     if args.rate_limit is not None and not args.rate_limit > 0:
         print("error: --rate-limit must be > 0", file=sys.stderr)
@@ -566,18 +439,12 @@ def _cmd_serve(argv: list[str]) -> int:
     from repro.serving import (
         Authenticator,
         Gateway,
+        ModelFleet,
         RateLimiter,
         ResilienceConfig,
     )
-    from repro.serving.fleet import format_announce, reuse_port_supported
+    from repro.serving.fleet import format_announce
 
-    if args.workers > 1 and not reuse_port_supported():
-        print(
-            "error: --workers > 1 needs os.fork and SO_REUSEPORT "
-            "(unavailable on this platform)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         auth = Authenticator.from_sources(
             token=args.auth_token,
@@ -636,40 +503,17 @@ def _cmd_serve(argv: list[str]) -> int:
         drain_timeout_s=args.drain_timeout,
     )
 
-    if args.workers > 1:
-        # Process-per-core: models are loaded (validated) once here; the
-        # forked children each build their own fleet over their own copy.
-        from repro.serving.fleet import run_worker_pool
-
-        print(f"serving {label} with {args.workers} workers ...", flush=True)
-
-        def worker_main(announce_fd: int, bound_port: int) -> int:
-            return _serve_worker(
-                announce_fd,
-                bound_port,
-                args,
-                default_name,
-                models,
-                resilience,
-                auth,
-            )
-
-        try:
-            return run_worker_pool(
-                args.host,
-                args.port,
-                args.workers,
-                worker_main,
-                max_restarts=args.max_restarts,
-                restart_backoff_ms=args.restart_backoff_ms,
-                startup_timeout_s=args.startup_timeout,
-            )
-        except OSError as exc:  # e.g. the port is already bound
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
+    fleet = ModelFleet(
+        max_models=args.max_models,
+        default_model=default_name,
+        max_batch_size=args.max_batch_size,
+        resilience=resilience,
+        service_kwargs={"n_jobs": args.jobs},
+    )
+    for name, (path, model) in models.items():
+        fleet.add_model(name, model, source=f"path:{path}")
     gateway = Gateway(
-        _build_fleet(args, default_name, models, resilience),
+        fleet,
         host=args.host,
         port=args.port,
         resilience=resilience,
@@ -681,7 +525,7 @@ def _cmd_serve(argv: list[str]) -> int:
         import signal
 
         await gateway.start()
-        print(format_announce(args.host, gateway.port, workers=1), flush=True)
+        print(format_announce(args.host, gateway.port), flush=True)
         print(f"serving {label} on http://{args.host}:{gateway.port}", flush=True)
         print(
             "endpoints: POST /predict, POST /models/<name>/predict, "

@@ -26,6 +26,7 @@ between methods are broken by the deterministic grid order.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Any
@@ -406,6 +407,12 @@ class DseJobManager:
     are never evicted).  ``max_running`` sheds submissions with 429
     while that many sweeps are already in flight — a DSE sweep is many
     flow runs, and an unbounded thread pile-up would starve serving.
+
+    Job ids are ``dse-<prefix>-<n>``: a random per-manager prefix and a
+    counter.  A restarted server therefore never reissues an old
+    ticket, and a client polling one gets 404 instead of another
+    sweep's results.  Every submission is a new job, even of a spec
+    seen before.
     """
 
     def __init__(self, max_finished: int = 64, max_running: int = 4) -> None:
@@ -413,6 +420,7 @@ class DseJobManager:
         self.max_running = max_running
         self._jobs: dict[str, DseJob] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
+        self._prefix = os.urandom(6).hex()
         self._counter = 0  # guarded-by: _lock
         self.submitted = 0  # guarded-by: _lock
 
@@ -431,7 +439,7 @@ class DseJobManager:
                 )
             self._counter += 1
             self.submitted += 1
-            job = DseJob(f"dse-{self._counter}", normalized)
+            job = DseJob(f"dse-{self._prefix}-{self._counter}", normalized)
             self._jobs[job.id] = job
             self._reap_locked()
         job.thread = threading.Thread(

@@ -117,15 +117,6 @@ REPRO_FLOW_CACHE_MAX_MB = _declare(
     "entries are evicted beyond it.  `0` disables eviction.",
 )
 
-REPRO_CHAOS_DIR = _declare(
-    "REPRO_CHAOS_DIR",
-    "path",
-    None,
-    "Directory of armed process-chaos token files "
-    "(`repro.serving.faults.ProcessChaos`).  Unset means chaos "
-    "injection is off — the production default.",
-)
-
 REPRO_BENCH_JSON = _declare(
     "REPRO_BENCH_JSON",
     "path",
@@ -151,7 +142,7 @@ def raw(name: str, environ: Mapping[str, str] | None = None) -> str | None:
     """The stripped raw value of a declared variable, ``None`` when unset.
 
     A blank value counts as unset.  ``environ`` substitutes the process
-    environment (the faults harness passes recorded dicts).
+    environment, so a caller can parse a recorded mapping.
     """
     _lookup(name)
     source = os.environ if environ is None else environ

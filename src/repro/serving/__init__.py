@@ -22,14 +22,6 @@ responses bitwise-equal to direct per-request service calls.
 * :class:`Authenticator` / :class:`RateLimiter` — static bearer-token
   auth (401/403) and per-client token buckets (429 + ``Retry-After``),
   layered *before* any model work,
-* :func:`run_worker_pool` / :class:`Supervisor` — ``serve --workers
-  N``: shared-nothing ``SO_REUSEPORT`` worker processes under a
-  self-healing parent control plane that merges ``/stats``
-  (:func:`merge_stats`), fans out model admin (journaled in an
-  :class:`AdminJournal` and replayed to restarted workers), restarts
-  crashed workers with exponential backoff behind a
-  :class:`CrashLoopBreaker`, and reports ``degraded`` while a
-  replacement comes up,
 * :mod:`repro.serving.wire` — the JSON request/response codec with
   structured 400/422 errors,
 * :mod:`repro.serving.resilience` — admission control (bounded queue,
@@ -40,12 +32,11 @@ responses bitwise-equal to direct per-request service calls.
   backoff + jitter, honors ``Retry-After``; ``token=`` / ``model=``
   select credentials and the routed model),
 * :mod:`repro.serving.faults` — deterministic fault injection at the
-  service boundary (and, via :class:`ProcessChaos`, at the process
-  level), for testing all of the above without sleeps.
+  service boundary, for testing all of the above without sleeps.
 
 Command line::
 
-    python -m repro serve --model model.json --port 8000 --workers 2 \
+    python -m repro serve --model model.json --port 8000 \
         --auth-token-env REPRO_TOKEN --rate-limit 50 --max-batch-size 64 \
         --queue-depth 1024 --default-deadline-ms 2000 --drain-timeout 10
 """
@@ -58,15 +49,12 @@ from repro.serving.auth import (
 )
 from repro.serving.batcher import MicroBatcher
 from repro.serving.client import ServingClient, ServingError
-from repro.serving.faults import ProcessChaos
 from repro.serving.fleet import (
     FleetEntry,
     FleetError,
     ModelFleet,
     format_announce,
-    merge_stats,
     parse_announce,
-    run_worker_pool,
 )
 from repro.serving.gateway import Gateway, GatewayStats, GatewayThread
 from repro.serving.resilience import (
@@ -78,21 +66,13 @@ from repro.serving.resilience import (
     ResilienceConfig,
     ResilienceError,
 )
-from repro.serving.supervisor import (
-    AdminJournal,
-    CrashLoopBreaker,
-    RestartBackoff,
-    Supervisor,
-)
 from repro.serving.wire import WireError
 
 __all__ = [
-    "AdminJournal",
     "AuthError",
     "Authenticator",
     "CircuitBreaker",
     "CircuitOpenError",
-    "CrashLoopBreaker",
     "DeadlineExceededError",
     "DrainingError",
     "FleetEntry",
@@ -103,18 +83,13 @@ __all__ = [
     "MicroBatcher",
     "ModelFleet",
     "OverloadError",
-    "ProcessChaos",
     "RateLimitedError",
     "RateLimiter",
     "ResilienceConfig",
     "ResilienceError",
-    "RestartBackoff",
     "ServingClient",
     "ServingError",
-    "Supervisor",
     "WireError",
     "format_announce",
-    "merge_stats",
     "parse_announce",
-    "run_worker_pool",
 ]

@@ -73,11 +73,9 @@ class ServingClient:
     failover_retries:
         Transport failures (connection reset/refused) retry
         *immediately* — no backoff sleep — this many consecutive times
-        before exponential backoff kicks in.  Against an
-        ``SO_REUSEPORT`` worker pool a reset usually means *that
-        worker* died mid-connection; the kernel routes the very next
-        connection to a surviving worker, so waiting first only adds
-        latency.  The counter resets on any completed HTTP exchange.
+        before exponential backoff kicks in, so a one-off dropped
+        connection costs no sleep.  The counter resets on any completed
+        HTTP exchange.
     sleep / rng:
         Injectable for deterministic tests (defaults: ``time.sleep``,
         a private ``random.Random``).
@@ -260,8 +258,7 @@ class ServingClient:
                     ) from exc
                 if transport_failures > self.failover_retries:
                     self._backoff(attempt, None)
-                # else: immediate failover — a new connection usually
-                # lands on a surviving SO_REUSEPORT worker.
+                # else: immediate retry on a fresh connection.
                 attempt += 1
                 continue
             transport_failures = 0

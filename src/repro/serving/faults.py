@@ -20,8 +20,6 @@ deterministic time source for deadline and circuit-breaker transitions.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -29,14 +27,12 @@ from collections.abc import Sequence
 from typing import Any
 
 from repro.api.service import PredictRequest, PredictResponse
-from repro.env import get_path
 
 __all__ = [
     "Fault",
     "FaultInjector",
     "FaultyService",
     "ManualClock",
-    "ProcessChaos",
 ]
 
 # Safety net: a test that forgets release_hangs() stalls its worker
@@ -190,112 +186,3 @@ class FaultyService:
             self.injector.served.extend(requests)
         return responses
 
-
-class ProcessChaos:
-    """Process-level chaos plan shared through the filesystem.
-
-    The in-process :class:`FaultInjector` cannot reach across ``fork``:
-    worker processes are separate interpreters, and the chaos harness
-    (``scripts/smoke_chaos.py``, the supervisor tests) drives a real
-    ``python -m repro serve`` subprocess it cannot script objects into.
-    So the plan is a directory of *token files*: the harness
-    :meth:`arm`\\ s an action by creating ``<action>-<i>.fault`` tokens
-    under a directory named by the ``REPRO_CHAOS_DIR`` environment
-    variable, and each worker process calls :meth:`enact` at its
-    lifecycle points.  A token is consumed by at most one process —
-    :meth:`claim` renames it atomically (``os.rename`` on one
-    filesystem), so N armed tokens fault exactly N workers even when
-    several start concurrently.
-
-    Supported actions (``enact`` point → action):
-
-    * ``startup`` → ``crash-startup`` (``os._exit`` before announcing;
-      params: ``exit_code``, default 3) and ``hang-startup``
-      (``time.sleep`` before announcing; params: ``hang_s``, default
-      3600 — the supervisor's startup deadline is what ends it),
-    * ``drain`` → ``crash-drain`` (``os._exit`` mid-drain instead of a
-      clean exit; params: ``exit_code``, default 1).
-
-    With ``REPRO_CHAOS_DIR`` unset, :meth:`from_env` returns ``None``
-    and the serve path skips chaos entirely — production code carries
-    one ``if chaos:`` per lifecycle point and nothing else.
-    """
-
-    ENV = "REPRO_CHAOS_DIR"
-    ACTIONS = ("crash-startup", "hang-startup", "crash-drain")
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-
-    @classmethod
-    def from_env(cls, env: dict | None = None) -> ProcessChaos | None:
-        directory = get_path(cls.ENV, environ=env)
-        if directory is None:
-            return None
-        return cls(directory)
-
-    def arm(self, action: str, count: int = 1, **params) -> list[str]:
-        """Create ``count`` one-shot tokens for ``action``; returns paths."""
-        if action not in self.ACTIONS:
-            raise ValueError(
-                f"unknown chaos action {action!r}; choose from {self.ACTIONS}"
-            )
-        os.makedirs(self.directory, exist_ok=True)
-        payload = json.dumps(params).encode("ascii")
-        paths = []
-        index = 0
-        created = 0
-        while created < count:
-            path = os.path.join(self.directory, f"{action}-{index}.fault")
-            index += 1
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
-            except FileExistsError:
-                continue  # older token (armed or claimed peer): skip the name
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            paths.append(path)
-            created += 1
-        return paths
-
-    def claim(self, action: str) -> dict | None:
-        """Atomically consume one armed token for ``action``, or ``None``.
-
-        The rename is the claim: exactly one of several concurrent
-        claimants wins each token, the losers see ``FileNotFoundError``
-        and move on.
-        """
-        try:
-            names = sorted(os.listdir(self.directory))
-        except FileNotFoundError:
-            return None
-        for name in names:
-            if not (name.startswith(f"{action}-") and name.endswith(".fault")):
-                continue
-            src = os.path.join(self.directory, name)
-            claimed = f"{src}.claimed-{os.getpid()}"
-            try:
-                os.rename(src, claimed)
-            except FileNotFoundError:
-                continue  # lost the race for this token
-            try:
-                with open(claimed, "rb") as handle:
-                    raw = handle.read()
-                return json.loads(raw) if raw else {}
-            except (OSError, json.JSONDecodeError):
-                return {}
-        return None
-
-    def enact(self, point: str) -> None:
-        """Run any armed fault for this lifecycle ``point`` (worker side)."""
-        if point == "startup":
-            params = self.claim("crash-startup")
-            if params is not None:
-                os._exit(int(params.get("exit_code", 3)))
-            params = self.claim("hang-startup")
-            if params is not None:
-                time.sleep(float(params.get("hang_s", 3600.0)))
-        elif point == "drain":
-            params = self.claim("crash-drain")
-            if params is not None:
-                os._exit(int(params.get("exit_code", 1)))

@@ -1,10 +1,8 @@
-"""Fleet-scale serving: multi-model routing and process-per-core workers.
+"""The model fleet: multi-model routing with atomic hot reload.
 
-Two layers live here, both sitting under the HTTP gateway:
-
-**The model fleet** (:class:`ModelFleet`) — a size-bounded LRU cache of
-named, independently-batched models.  Each entry owns its own
-:class:`~repro.api.service.PredictionService` and
+:class:`ModelFleet` is a size-bounded LRU cache of named,
+independently-batched models sitting under the HTTP gateway.  Each
+entry owns its own :class:`~repro.api.service.PredictionService` and
 :class:`~repro.serving.batcher.MicroBatcher`, so one slow model's queue
 never blocks another's.  ``load`` hot-reloads atomically: the new entry
 is swapped in first (new requests route to the new model immediately),
@@ -13,25 +11,9 @@ on the *old* model, bitwise-equal to direct service calls.  ``unload``
 is drain-then-remove.  Exceeding ``max_models`` evicts the
 least-recently-routed entry (the default model is never evicted).
 
-**The worker pool** (:func:`run_worker_pool`) — ``serve --workers N``
-forks N shared-nothing worker processes, each binding its own
-``SO_REUSEPORT`` socket on the same data port (the kernel load-balances
-connections across them) and each loading its own copy of every model.
-The parent process is a pure control plane — a
-:class:`repro.serving.supervisor.Supervisor`: it reserves the port
-before forking (so ``--port 0`` resolves once), collects each worker's
-announce line over a pipe (bounded by a startup deadline), serves a
-small threaded HTTP endpoint that aggregates ``GET /stats`` into a
-merged view (:func:`merge_stats`) and fans ``PUT``/``DELETE
-/models/<name>`` out to every worker, restarts crashed workers with
-exponential backoff (replaying the accepted-admin-op journal so
-replacements converge to the fleet's current model set), and relays
-``SIGTERM``/``SIGINT`` to the workers so a fleet drain is one signal.
+``serve`` prints one machine-parseable line once it is up::
 
-The parent prints one machine-parseable line once every worker is up::
-
-    REPRO-SERVING addr=http://127.0.0.1:8000 workers=2 \
-        control=http://127.0.0.1:43121 pid=1234
+    REPRO-SERVING addr=http://127.0.0.1:8000 pid=1234
 
 (:func:`format_announce` / :func:`parse_announce`); smoke scripts and
 tests parse it instead of racing on a hardcoded port.
@@ -40,13 +22,8 @@ tests parse it instead of racing on a hardcoded port.
 from __future__ import annotations
 
 import asyncio
-import http.client
-import json
 import os
 import re
-import select
-import socket
-import time
 from collections.abc import Callable
 from typing import Any
 
@@ -60,11 +37,7 @@ __all__ = [
     "FleetEntry",
     "ModelFleet",
     "format_announce",
-    "merge_stats",
     "parse_announce",
-    "reserve_port",
-    "run_worker_pool",
-    "write_worker_announce",
 ]
 
 _MODEL_NAME_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
@@ -402,88 +375,19 @@ class ModelFleet:
 
 
 # ----------------------------------------------------------------------
-# Merged stats + the machine-parseable announce line.
+# The machine-parseable announce line.
 
 
-# Numeric leaves merge_stats must not sum, matched by key at any depth.
-_MAX_LEAVES = frozenset({"max_flush_size"})
-_PER_WORKER_LEAVES = frozenset({"p50", "p95", "service_time_ms"})
-# Configured values every worker shares: kept when the workers agree.
-_CONFIG_LEAVES = frozenset(
-    {"queue_capacity", "default_deadline_ms", "max_models", "rate_per_s", "burst", "tokens"}
-)
-
-
-def merge_stats(snapshots: list[dict]) -> dict:
-    """Merge per-worker ``/stats`` snapshots into one additive view.
-
-    Numeric leaves are summed (bools excluded), dicts merge recursively
-    over the union of keys, and non-additive leaves (strings, bools,
-    lists) keep the first worker's value when all workers agree and
-    collapse to ``None`` otherwise.  These numeric leaves are not sums:
-    ``max_flush_size`` takes the max, ``mean_flush_size`` is recomputed
-    from the merged ``flushed_requests`` / ``flushes``, the latency
-    percentiles and mean ``service_time_ms`` are ``None`` — they are
-    only meaningful per worker, so read them from the ``workers`` list —
-    and configured values (``_CONFIG_LEAVES``) merge like strings.
-    """
-    snapshots = [s for s in snapshots if isinstance(s, dict)]
-    if not snapshots:
-        return {}
-    keys: list[str] = []
-    for snap in snapshots:
-        for key in snap:
-            if key not in keys:
-                keys.append(key)
-    merged: dict = {}
-    for key in keys:
-        values = [s[key] for s in snapshots if key in s]
-        if key in _PER_WORKER_LEAVES:
-            merged[key] = None
-        elif all(isinstance(v, dict) for v in values):
-            merged[key] = merge_stats(values)
-        elif key not in _CONFIG_LEAVES and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values
-        ):
-            merged[key] = max(values) if key in _MAX_LEAVES else sum(values)
-        elif all(
-            type(v) is type(values[0]) and v == values[0] for v in values
-        ):
-            # Type-strict equality: ``True == 1`` must not silently keep
-            # one worker's bool as the merged value for another's int.
-            merged[key] = values[0]
-        else:
-            merged[key] = None
-    if "mean_flush_size" in merged:
-        flushes = merged.get("flushes")
-        merged["mean_flush_size"] = (
-            merged.get("flushed_requests", 0) / flushes if flushes else None
-        )
-    return merged
-
-
-def format_announce(
-    host: str,
-    port: int,
-    workers: int = 1,
-    control: str | None = None,
-    pid: int | None = None,
-) -> str:
-    """The one-line machine-parseable serving announcement."""
-    parts = [f"addr=http://{host}:{port}", f"workers={workers}"]
-    if control is not None:
-        parts.append(f"control={control}")
-    parts.append(f"pid={pid if pid is not None else os.getpid()}")
-    return _ANNOUNCE_PREFIX + " ".join(parts)
+def format_announce(host: str, port: int) -> str:
+    """The one-line machine-parseable announcement of this process."""
+    return f"{_ANNOUNCE_PREFIX}addr=http://{host}:{port} pid={os.getpid()}"
 
 
 def parse_announce(text: str) -> dict | None:
     """Parse the first announce line out of captured stdout.
 
-    Returns ``{"host", "port", "workers", "control", "pid"}`` or
-    ``None`` when no announce line is present (``control`` is ``None``
-    for single-process serves).
+    Returns ``{"host", "port", "pid"}`` or ``None`` when no announce
+    line is present.
     """
     for line in text.splitlines():
         line = line.strip()
@@ -501,141 +405,6 @@ def parse_announce(text: str) -> dict | None:
         return {
             "host": match.group(1),
             "port": int(match.group(2)),
-            "workers": int(fields.get("workers", "1")),
-            "control": fields.get("control"),
             "pid": int(fields["pid"]) if "pid" in fields else None,
         }
     return None
-
-
-# ----------------------------------------------------------------------
-# The process-per-core worker pool (SO_REUSEPORT + fork).
-
-
-def reuse_port_supported() -> bool:
-    return hasattr(socket, "SO_REUSEPORT") and hasattr(os, "fork")
-
-
-def reserve_port(host: str, port: int) -> tuple[socket.socket, int]:
-    """Bind (without listening) an ``SO_REUSEPORT`` socket to fix the port.
-
-    ``port=0`` resolves to a concrete ephemeral port *once*, before any
-    worker forks — every worker then binds its own ``SO_REUSEPORT``
-    listener to the same number.  The reservation socket never listens,
-    so the kernel routes no connections to it; the parent closes it once
-    all workers are up.
-    """
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-    except OSError:
-        sock.close()
-        raise
-    return sock, sock.getsockname()[1]
-
-
-def write_worker_announce(fd: int, port: int, control_port: int) -> None:
-    """The worker side of the readiness pipe (one JSON line, then close)."""
-    payload = {"pid": os.getpid(), "port": port, "control_port": control_port}
-    os.write(fd, (json.dumps(payload) + "\n").encode("ascii"))
-    os.close(fd)
-
-
-def _read_announce(
-    fd: int,
-    timeout: float | None = None,
-    clock: Callable[[], float] = time.monotonic,
-) -> dict | None:
-    """Read one worker's announce line off its pipe (None on EOF).
-
-    With ``timeout`` set, waits at most that many seconds for the full
-    line and raises :class:`TimeoutError` past the deadline — a worker
-    hung in startup can no longer wedge the parent on a blocking
-    ``os.read`` forever.  ``timeout=None`` keeps the old blocking read.
-    """
-    deadline = None if timeout is None else clock() + timeout
-    chunks = b""
-    while b"\n" not in chunks:
-        if deadline is not None:
-            remaining = deadline - clock()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"no worker announce within {timeout:g}s"
-                )
-            readable, _, _ = select.select([fd], [], [], remaining)
-            if not readable:
-                continue
-        chunk = os.read(fd, 4096)
-        if not chunk:
-            return None
-        chunks += chunk
-    try:
-        return json.loads(chunks.splitlines()[0])
-    except json.JSONDecodeError:
-        return None
-
-
-def _worker_call(
-    port: int,
-    method: str,
-    path: str,
-    body: bytes | None,
-    headers: dict,
-    timeout: float = 5.0,
-) -> tuple[int, Any]:
-    """One HTTP call to a worker's loopback control listener."""
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        conn.request(method, path, body=body, headers=headers)
-        response = conn.getresponse()
-        raw = response.read()
-        try:
-            decoded = json.loads(raw.decode()) if raw else None
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            decoded = None
-        return response.status, decoded
-    finally:
-        conn.close()
-
-
-def run_worker_pool(
-    host: str,
-    port: int,
-    n_workers: int,
-    worker_main: Callable[[int, int], int],
-    control_host: str = "127.0.0.1",
-    **supervisor_kwargs,
-) -> int:
-    """Fork ``n_workers`` gateway processes on one ``SO_REUSEPORT`` port.
-
-    ``worker_main(announce_fd, port)`` runs in each child: it must bind
-    the data port with ``SO_REUSEPORT``, bind a loopback control
-    listener, report both through
-    :func:`write_worker_announce`, serve until ``SIGTERM``/``SIGINT``,
-    drain, and return its exit code.
-
-    The parent is a :class:`repro.serving.supervisor.Supervisor`: it
-    reserves the port (resolving ``--port 0`` exactly once), waits for
-    every worker's announce (with a startup deadline), prints the
-    :func:`format_announce` line once all are ready, serves the merged
-    control plane, restarts crashed workers with exponential backoff
-    (replaying the admin journal so replacements converge to the
-    fleet's current model set), and fans ``SIGTERM``/``SIGINT`` out to
-    the workers.  Keyword arguments (``max_restarts``,
-    ``restart_backoff_ms``, ``startup_timeout_s``, ...) pass through to
-    the Supervisor.  Returns the pool exit code: 0 when every worker
-    drained cleanly.
-    """
-    if n_workers < 2:
-        raise ValueError("run_worker_pool needs n_workers >= 2")
-    from repro.serving.supervisor import Supervisor
-
-    return Supervisor(
-        host,
-        port,
-        n_workers,
-        worker_main,
-        control_host=control_host,
-        **supervisor_kwargs,
-    ).run()

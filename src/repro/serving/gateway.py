@@ -28,9 +28,9 @@ The DSE plane (:mod:`repro.dse.jobs` — async design-space exploration):
 * ``GET /dse/<id>/results?top=N`` — ranked results (409 until done).
 * ``DELETE /dse/<id>`` — request cancellation.
 
-DSE jobs live in *this* worker's memory: poll the same worker that
-accepted the submit (with ``SO_REUSEPORT`` pools, use one worker or the
-per-worker control port).
+DSE jobs live in the server's memory and do not survive a restart.
+Job ids never repeat across processes, so a ticket from before a restart
+answers 404 rather than another sweep's results.
 
 And the admin plane (:class:`~repro.serving.fleet.ModelFleet`):
 
@@ -57,7 +57,7 @@ from the resilience and rate-limit layers (with ``Retry-After``), 500
 for unexpected server-side failures.
 
 Shutdown is graceful by default: :meth:`Gateway.stop` (and
-``GatewayThread.stop``) closes the listener(s), cancels idle keep-alive
+``GatewayThread.stop``) closes the listener, cancels idle keep-alive
 connections, lets in-flight requests finish — their responses stay
 bitwise-equal to direct service calls — and only then tears every
 model's batcher down, all bounded by the config's ``drain_timeout_s``.
@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import threading
 from collections import deque
 from concurrent.futures import TimeoutError as _FutureTimeoutError
@@ -99,7 +98,6 @@ _REASONS = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
-    502: "Bad Gateway",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -235,7 +233,7 @@ class GatewayStats:
 
 
 class Gateway:
-    """The HTTP front end: one model fleet, one (or two) listeners.
+    """The HTTP front end: one model fleet, one listener.
 
     ``service`` accepts either a single
     :class:`~repro.api.service.PredictionService` (wrapped as the fleet's
@@ -246,12 +244,6 @@ class Gateway:
     admission/deadline/breaker/drain knobs
     (:class:`~repro.serving.resilience.ResilienceConfig`); ``clock`` is
     the injectable monotonic time source the fault-injection tests use.
-
-    Fleet-worker extras: ``reuse_port=True`` binds the data listener
-    with ``SO_REUSEPORT`` (so sibling workers share the port), and
-    ``control_port`` (e.g. ``0``) binds a second loopback listener
-    serving the same routes — the per-worker admin/stats plane the pool
-    parent fans out to.
     """
 
     def __init__(
@@ -264,8 +256,6 @@ class Gateway:
         clock: Any = None,
         auth: Authenticator | None = None,
         rate_limiter: RateLimiter | None = None,
-        reuse_port: bool = False,
-        control_port: int | None = None,
     ) -> None:
         self.host = host
         self.port: int | None = None
@@ -285,12 +275,8 @@ class Gateway:
             rate_limiter if rate_limiter is not None else RateLimiter(None)
         )
         self.dse = DseJobManager()
-        self.reuse_port = reuse_port
-        self.control_port: int | None = None
-        self._requested_control_port = control_port
         self.stats = GatewayStats()  # guarded-by: loop
         self._server: asyncio.base_events.Server | None = None
-        self._control_server: asyncio.base_events.Server | None = None
         # Live connection handlers and their phase ("idle" = waiting for
         # the next request on a keep-alive connection, "busy" = a parsed
         # request is being served) — what graceful drain walks.
@@ -313,18 +299,10 @@ class Gateway:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         await self.fleet.start()
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self._requested_port, **kwargs
+            self._handle_client, self.host, self._requested_port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self._requested_control_port is not None:
-            self._control_server = await asyncio.start_server(
-                self._handle_client, "127.0.0.1", self._requested_control_port
-            )
-            self.control_port = (
-                self._control_server.sockets[0].getsockname()[1]
-            )
 
     async def stop(
         self, drain: bool = True, drain_timeout: float | None = None
@@ -332,7 +310,7 @@ class Gateway:
         """Stop the gateway.
 
         ``drain=True`` (default) is the graceful path: close the
-        listeners, stop admitting new requests (they answer 503), cancel
+        listener, stop admitting new requests (they answer 503), cancel
         idle keep-alive connections, wait for busy handlers — their
         in-flight responses complete bitwise-equal — then drain and stop
         every model's batcher.  ``drain=False`` hard-cancels everything.
@@ -341,14 +319,8 @@ class Gateway:
         """
         if drain_timeout is None:
             drain_timeout = self.resilience.drain_timeout_s
-        servers = [
-            s
-            for s in (self._server, self._control_server)
-            if s is not None
-        ]
-        self._server = None
-        self._control_server = None
-        for server in servers:
+        server, self._server = self._server, None
+        if server is not None:
             server.close()
         # Background DSE sweeps stop first: they check their cancel flag
         # between chunks, so they wind down while the handlers drain.
@@ -365,7 +337,7 @@ class Gateway:
                 task.cancel()
             await self._drain_handlers(1.0)
         await self.fleet.stop(drain=drain, drain_timeout=drain_timeout)
-        for server in servers:
+        if server is not None:
             # After the handlers above finished this returns promptly on
             # every supported Python (3.12+ waits for handler tasks).
             await server.wait_closed()
@@ -631,9 +603,8 @@ class Gateway:
                     return 405, wire.encode_error(
                         405, f"use GET /dse/{parts[0]}/results"
                     )
-                return 200, self.dse.get(parts[0]).results_payload(
-                    _top_from_query(query)
-                )
+                top = _top_from_query(query)  # 400 before any lookup
+                return 200, self.dse.get(parts[0]).results_payload(top)
         if path.startswith("/models/"):
             parts = [p for p in path[len("/models/") :].split("/") if p]
             if len(parts) == 2 and parts[1] == "predict":
@@ -668,10 +639,7 @@ class Gateway:
         if self.draining:
             raise DseError(503, "gateway is draining; not accepting DSE jobs")
         self.rate_limiter.admit(client, cost=1)
-        try:
-            payload = json.loads(body.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise wire.WireError(400, "request body is not valid JSON") from None
+        payload = wire.decode_body(body)
         spec = wire.decode_dse_submit(payload)
         job = self.dse.submit(spec)
         return 202, {
@@ -697,10 +665,6 @@ class Gateway:
             ),
             "models": self.fleet.names(),
             "default_model": self.fleet.default_model,
-            "workers": 1,
-            # The worker's pid: the chaos harness and supervisor tests
-            # pick SIGKILL targets from the fleet /healthz fan-out.
-            "pid": os.getpid(),
         }
 
     def _stats_payload(self) -> dict:
@@ -760,10 +724,7 @@ class Gateway:
         from repro.serving.fleet import validate_model_name
 
         validate_model_name(name)  # 400 before any body or model work
-        try:
-            payload = json.loads(body.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise wire.WireError(400, "request body is not valid JSON") from None
+        payload = wire.decode_body(body)
         kind, value = wire.decode_model_load(payload)
         import repro.api as api
 
@@ -784,10 +745,7 @@ class Gateway:
         return 200, await self.fleet.load(name, model, source)
 
     async def _predict(self, body: bytes, entry: FleetEntry, client: str):
-        try:
-            payload = json.loads(body.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise wire.WireError(400, "request body is not valid JSON") from None
+        payload = wire.decode_body(body)
         single = isinstance(payload, dict)
         items = [payload] if single else payload
         if not isinstance(items, list):

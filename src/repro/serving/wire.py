@@ -33,6 +33,7 @@ the in-process :class:`~repro.api.service.PredictResponse` values.
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 from repro.api.service import PredictRequest, PredictResponse
@@ -40,6 +41,7 @@ from repro.power.report import POWER_GROUPS, PowerReport
 
 __all__ = [
     "WireError",
+    "decode_body",
     "decode_dse_submit",
     "decode_model_load",
     "decode_request",
@@ -70,6 +72,18 @@ class WireError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+def decode_body(body: bytes) -> Any:
+    """Parse a request body as JSON; anything unparseable is a 400.
+
+    That includes a body nested deeper than the parser can recurse:
+    ``json.loads`` raises :class:`RecursionError` for it.
+    """
+    try:
+        return json.loads(body.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        raise WireError(400, "request body is not valid JSON") from None
 
 
 def supported_kinds(model: Any) -> tuple[str, ...]:

@@ -377,6 +377,22 @@ class TestDseJobs:
         assert excinfo.value.status == 409
         pending.state = "done"
 
+    def test_ids_are_unique_across_managers_and_resubmissions(self):
+        # A restarted server is a fresh manager: its tickets must not
+        # repeat the old one's.  A resubmitted spec is a new job.
+        first, second = DseJobManager(), DseJobManager()
+        jobs = [
+            self._finish(manager.submit(dict(self.SPEC)))
+            for manager in (first, second, first)
+        ]
+        assert len({job.id for job in jobs}) == 3
+        assert first.get(jobs[0].id) is jobs[0]
+        assert first.get(jobs[2].id) is jobs[2]
+        for job in jobs[::2]:
+            with pytest.raises(DseError) as excinfo:
+                second.get(job.id)
+            assert excinfo.value.status == 404
+
     def test_unknown_job_answers_404(self):
         with pytest.raises(DseError) as excinfo:
             DseJobManager().get("dse-999")

@@ -15,7 +15,6 @@ class TestRegistry:
             "REPRO_NO_FLOW_CACHE",
             "REPRO_FLOW_CACHE_DIR",
             "REPRO_FLOW_CACHE_MAX_MB",
-            "REPRO_CHAOS_DIR",
             "REPRO_BENCH_JSON",
         }
         for var in env.REGISTRY.values():
@@ -65,10 +64,10 @@ class TestTypedAccessors:
 
     def test_explicit_environ_mapping_wins(self):
         value = env.get_path(
-            "REPRO_CHAOS_DIR", environ={"REPRO_CHAOS_DIR": "/tmp/chaos"}
+            "REPRO_BENCH_JSON", environ={"REPRO_BENCH_JSON": "/tmp/bench.json"}
         )
-        assert value == "/tmp/chaos"
-        assert env.get_path("REPRO_CHAOS_DIR", environ={}) is None
+        assert value == "/tmp/bench.json"
+        assert env.get_path("REPRO_BENCH_JSON", environ={}) is None
 
 
 class TestTables:

@@ -1,5 +1,5 @@
 """Tests for fleet-scale serving: multi-model routing, hot reload,
-auth, per-client rate limiting, and the worker-pool plumbing.
+auth, per-client rate limiting, and the serve announce line.
 
 The core contracts under test:
 
@@ -36,12 +36,9 @@ from repro.serving import wire
 from repro.serving.auth import client_digest
 from repro.serving.fleet import (
     FleetError,
-    _read_announce,
     format_announce,
-    merge_stats,
     parse_announce,
     validate_model_name,
-    write_worker_announce,
 )
 
 
@@ -282,6 +279,34 @@ class TestModelAdmin:
                 status, _h, reply = _http(handle.port, "PUT", "/models/default", body)
                 assert status == 400, reply
                 assert "cannot load model" in reply["error"]["message"]
+            status, _h, info = _http(handle.port, "GET", "/models/default")
+            assert info["generation"] == 1 and info["method"] == "autopower"
+            status, _h, predictions = _http(handle.port, "POST", "/predict", request_objs)
+            assert status == 200
+            assert [r["total"] for r in predictions] == expected
+
+    def test_deeply_nested_bodies_are_400_and_keep_the_model(
+        self, autopower2, mcpat_model, request_objs
+    ):
+        # Nesting past the JSON parser's recursion limit is a malformed
+        # body like any other, on every route that decodes one.
+        body = b"[" * 50_000 + b"]" * 50_000
+        expected = _expected_totals(autopower2, request_objs)
+        with GatewayThread(
+            _two_model_fleet(autopower2, mcpat_model)
+        ) as handle:
+            for method, path in (
+                ("POST", "/predict"),
+                ("PUT", "/models/default"),
+                ("POST", "/dse"),
+            ):
+                conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                reply = json.loads(response.read())
+                conn.close()
+                assert response.status == 400, (path, reply)
+                assert reply["error"]["message"] == "request body is not valid JSON"
             status, _h, info = _http(handle.port, "GET", "/models/default")
             assert info["generation"] == 1 and info["method"] == "autopower"
             status, _h, predictions = _http(handle.port, "POST", "/predict", request_objs)
@@ -548,186 +573,20 @@ class TestRateLimiter:
             RateLimiter(1.0, max_clients=0)
 
 
-class TestMergeStats:
-    def test_numeric_leaves_sum(self):
-        merged = merge_stats([{"a": 1, "b": 2.5}, {"a": 3, "b": 0.5}])
-        assert merged == {"a": 4, "b": 3.0}
-
-    def test_dicts_merge_recursively_over_key_union(self):
-        merged = merge_stats(
-            [{"x": {"n": 1}}, {"x": {"n": 2, "extra": 5}}]
-        )
-        assert merged == {"x": {"n": 3, "extra": 5}}
-
-    def test_agreeing_non_numeric_kept_disagreeing_dropped(self):
-        merged = merge_stats(
-            [
-                {"status": "ok", "model": "A", "on": True},
-                {"status": "ok", "model": "B", "on": False},
-            ]
-        )
-        assert merged["status"] == "ok"
-        assert merged["model"] is None
-        assert merged["on"] is None  # bools are not summed
-
-    def test_empty_input(self):
-        assert merge_stats([]) == {}
-        assert merge_stats([None, {"a": 1}]) == {"a": 1}
-
-    def test_key_missing_in_one_snapshot(self):
-        # The key union drives the merge: a key one worker lacks still
-        # sums over the workers that have it.
-        merged = merge_stats([{"a": 1, "only": 7}, {"a": 2}])
-        assert merged == {"a": 3, "only": 7}
-
-    def test_none_vs_number_is_dropped(self):
-        merged = merge_stats([{"deadline_ms": None}, {"deadline_ms": 250.0}])
-        assert merged["deadline_ms"] is None
-        # ... and agreeing Nones survive as None, not as a crash.
-        assert merge_stats([{"x": None}, {"x": None}])["x"] is None
-
-    def test_bool_vs_int_collision_is_dropped(self):
-        # True == 1 in Python; the merged view must not launder one
-        # worker's bool into another's counter (or vice versa).
-        merged = merge_stats([{"flag": True}, {"flag": 1}])
-        assert merged["flag"] is None
-
-    def test_dict_vs_scalar_collision_is_dropped(self):
-        merged = merge_stats([{"x": {"n": 1}}, {"x": 3}])
-        assert merged["x"] is None
-
-    def test_non_additive_gauges_are_not_summed(self):
-        # Two workers' /stats blocks: worker 1 flushed 10 requests in 4
-        # flushes (max 5), worker 2 flushed 2 in 2 (max 1).
-        def worker(flushes, requests, max_size, p50, service_ms):
-            return {
-                "gateway": {
-                    "flushes": flushes,
-                    "flushed_requests": requests,
-                    "mean_flush_size": requests / flushes,
-                    "max_flush_size": max_size,
-                    "latency_ms": {"window": 8, "p50": p50, "p95": p50 * 2},
-                },
-                "resilience": {"service_time_ms": service_ms},
-                "fleet": {
-                    "models": {"default": {"batcher": {"max_flush_size": max_size}}}
-                },
-            }
-
-        merged = merge_stats(
-            [worker(4, 10, 5, 3.0, 0.6), worker(2, 2, 1, 2.0, 0.5)]
-        )
-        gateway = merged["gateway"]
-        assert gateway["flushes"] == 6
-        assert gateway["flushed_requests"] == 12
-        assert gateway["mean_flush_size"] == 12 / 6
-        assert gateway["max_flush_size"] == 5
-        assert merged["fleet"]["models"]["default"]["batcher"] == {
-            "max_flush_size": 5
-        }
-        # Additive leaves still sum.
-        assert gateway["latency_ms"]["window"] == 16
-        # Percentiles and means have no merge from snapshots alone.
-        assert gateway["latency_ms"]["p50"] is None
-        assert gateway["latency_ms"]["p95"] is None
-        assert merged["resilience"]["service_time_ms"] is None
-
-    def test_configured_values_are_not_summed(self):
-        # Every worker reports the configuration it was started with;
-        # two workers must not report double the configured values.
-        def worker(queue_capacity):
-            return {
-                "resilience": {"queue_capacity": queue_capacity, "default_deadline_ms": 250.0},
-                "fleet": {"max_models": 8},
-                "auth": {"tokens": 2, "rate_limit": {"rate_per_s": 5.0, "burst": 10}},
-            }
-
-        merged = merge_stats([worker(64), worker(64)])
-        assert merged == worker(64)
-        # Workers that disagree collapse to None, like other non-additive leaves.
-        split = merge_stats([worker(64), worker(32)])
-        assert split["resilience"]["queue_capacity"] is None
-        assert split["resilience"]["default_deadline_ms"] == 250.0
-
-    def test_mean_flush_size_without_flushes_is_none(self):
-        idle = {"flushes": 0, "flushed_requests": 0, "mean_flush_size": None}
-        assert merge_stats([idle, dict(idle)])["mean_flush_size"] is None
-
-
 class TestAnnounce:
     def test_round_trip(self):
-        line = format_announce(
-            "127.0.0.1", 8123, workers=2,
-            control="http://127.0.0.1:9001", pid=42,
-        )
+        line = format_announce("127.0.0.1", 8123)
+        assert line == f"REPRO-SERVING addr=http://127.0.0.1:8123 pid={os.getpid()}"
         parsed = parse_announce(f"noise\n{line}\nmore noise\n")
-        assert parsed == {
-            "host": "127.0.0.1",
-            "port": 8123,
-            "workers": 2,
-            "control": "http://127.0.0.1:9001",
-            "pid": 42,
-        }
+        assert parsed == {"host": "127.0.0.1", "port": 8123, "pid": os.getpid()}
 
     def test_single_worker_defaults(self):
-        parsed = parse_announce(format_announce("0.0.0.0", 80))
-        assert parsed["workers"] == 1
-        assert parsed["control"] is None
-        assert parsed["pid"] == os.getpid()
+        # The parser treats the pid field as optional.
+        parsed = parse_announce("REPRO-SERVING addr=http://0.0.0.0:80\n")
+        assert parsed == {"host": "0.0.0.0", "port": 80, "pid": None}
 
     def test_absent_announce_is_none(self):
         assert parse_announce("serving stuff on http://x:1\n") is None
-
-    def test_worker_pipe_round_trip(self):
-        read_fd, write_fd = os.pipe()
-        try:
-            write_worker_announce(write_fd, 8123, 9001)
-            announce = _read_announce(read_fd)
-        finally:
-            os.close(read_fd)
-        assert announce == {
-            "pid": os.getpid(),
-            "port": 8123,
-            "control_port": 9001,
-        }
-
-    def test_read_announce_timeout_on_silent_pipe(self):
-        # A worker hung in startup writes nothing: the deadline must
-        # fire instead of blocking the parent forever.
-        read_fd, write_fd = os.pipe()
-        try:
-            with pytest.raises(TimeoutError):
-                _read_announce(read_fd, timeout=0.05)
-        finally:
-            os.close(read_fd)
-            os.close(write_fd)
-
-    def test_read_announce_timeout_on_partial_line(self):
-        read_fd, write_fd = os.pipe()
-        try:
-            os.write(write_fd, b'{"pid": 1')  # never completes the line
-            with pytest.raises(TimeoutError):
-                _read_announce(read_fd, timeout=0.05)
-        finally:
-            os.close(read_fd)
-            os.close(write_fd)
-
-    def test_read_announce_eof_is_none_even_with_timeout(self):
-        read_fd, write_fd = os.pipe()
-        os.close(write_fd)  # the worker died before announcing
-        try:
-            assert _read_announce(read_fd, timeout=1.0) is None
-        finally:
-            os.close(read_fd)
-
-    def test_read_announce_data_beats_timeout(self):
-        read_fd, write_fd = os.pipe()
-        try:
-            write_worker_announce(write_fd, 8123, 9001)
-            announce = _read_announce(read_fd, timeout=5.0)
-        finally:
-            os.close(read_fd)
-        assert announce["port"] == 8123
 
 
 class TestModelNameValidation:

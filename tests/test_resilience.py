@@ -855,11 +855,10 @@ class TestServingClient:
         assert excinfo.value.status is None
 
     def test_first_transport_failure_fails_over_without_sleeping(self):
-        # Against an SO_REUSEPORT pool a reset means *that worker* died;
-        # the immediate reconnect lands on a survivor, so the first
-        # transport retry must not back off.
+        # A one-off dropped connection: the first transport retry
+        # reconnects at once instead of backing off.
         client = _ScriptedTransportClient(
-            [ConnectionResetError("worker died")] + [(200, {}, {"ok": 1})],
+            [ConnectionResetError("connection dropped")] + [(200, {}, {"ok": 1})],
             max_retries=3,
         )
         assert client.healthz() == {"ok": 1}
