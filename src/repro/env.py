@@ -85,14 +85,6 @@ REPRO_JOBS = _declare(
     "for every count.",
 )
 
-REPRO_NO_KERNEL = _declare(
-    "REPRO_NO_KERNEL",
-    "bool",
-    False,
-    "Disable the compiled C fit kernel (`repro.ml._kernel`) and run "
-    "the pure-numpy engine.  Results are byte-identical either way.",
-)
-
 REPRO_NO_FLOW_CACHE = _declare(
     "REPRO_NO_FLOW_CACHE",
     "bool",

@@ -21,15 +21,13 @@ configurations x 8 workloads), so every round runs the exact greedy
 split search over all rows and features.  A fitted
 :class:`~repro.ml.gbm.GradientBoostingRegressor` owns exactly one
 node-array set: all its trees concatenated in preorder, leaves encoded
-as self-loops.  The fit writes it directly — the compiled kernel
-(:mod:`repro.ml._kernel`, one call per fit; disable with
-``REPRO_NO_KERNEL=1``) or, without a compiler, the numpy level-wise
-engine (:mod:`repro.ml.tree`, one batched split search per depth level)
-appending one tree per round; the two are byte-identical.  Prediction
-descends every row through every tree in lockstep, and
-:class:`~repro.ml.gbm.Forest` walks many models' ensembles in one
-compiled call.  :mod:`repro.ml.serialize` saves that same node-array
-set and validates it on load.
+as self-loops.  The compiled kernel (:mod:`repro.ml._kernel`, one call
+per fit) writes it directly; it is the only fit engine, so fitting needs
+a C compiler and ``cffi``.  Prediction descends every row through every
+tree in lockstep, and :class:`~repro.ml.gbm.Forest` walks many models'
+ensembles in one compiled call, or in numpy without the kernel, so a
+saved model loads and predicts anywhere.  :mod:`repro.ml.serialize`
+saves that same node-array set and validates it on load.
 """
 
 from repro.ml.gbm import GradientBoostingRegressor

@@ -1,23 +1,21 @@
-"""Optional compiled kernel for the level-wise exact GBM fit and for
-forest prediction.
+"""Compiled kernel for the exact GBM fit and for forest prediction.
 
-The few-shot regime fits thousands of tiny trees; even the fully batched
-numpy engine pays a few microseconds of dispatch per array expression,
-which dominates when nodes hold a dozen rows.  This module compiles a
-small, dependency-free C fit that gives the numpy engine's results with
-less work, and drives the whole boosting loop in one call per fit.  It
-grows the same level-wise frontier (one scan per depth level over
-presorted segments, stable position-cut partition, preorder emission)
-but skips work whose result is already fixed: columns that rank the rows
-exactly like an earlier column are neither scanned nor partitioned, and
-the children of a split one level above ``max_depth`` add their leaf
-values to the training prediction directly, without a partition.  Its
-hot loops avoid data-dependent branches, which cost more than the
-arithmetic at these sizes: a candidate is scored exactly (two IEEE
-divisions) only when a cheap multiply-only estimate reaches a bound just
-below the running best — one rarely taken branch that also holds the tie
-test — and a partition stores each row once, at the left or right
-cursor picked by its side, with no branch.
+The few-shot regime fits thousands of tiny trees, where numpy's
+dispatch of a few microseconds per array expression would dominate
+nodes of a dozen rows.  This module compiles a small, dependency-free
+C fit that drives the whole boosting loop in one call per fit, and is
+the only fit engine.  It grows each tree level-wise (one scan per depth
+level over presorted segments, stable position-cut partition, preorder
+emission) and skips work whose result is already fixed: columns that
+rank the rows exactly like an earlier column are neither scanned nor
+partitioned, and the children of a split one level above ``max_depth``
+add their leaf values to the training prediction directly, without a
+partition.  Its hot loops avoid data-dependent branches, which cost
+more than the arithmetic at these sizes: a candidate is scored exactly
+(two IEEE divisions) only when a cheap multiply-only estimate reaches a
+bound just below the running best — one rarely taken branch that also
+holds the tie test — and a partition stores each row once, at the left
+or right cursor picked by its side, with no branch.
 ``gbm_fit_exact`` writes the model's one node-array set — the fused
 ensemble of :class:`repro.ml.gbm.GradientBoostingRegressor`, leaves as
 self-loops — into caller-owned buffers.  A second entry point,
@@ -28,21 +26,21 @@ in heap order by a third, ``forest_pack``.
 Build strategy: the C source below is written to a per-user cache
 directory and compiled with the system C compiler into a plain shared
 library (no Python headers needed), then loaded through ``cffi``'s ABI
-mode.  Everything is best-effort: no compiler, no ``cffi``, a failed
-build, or ``REPRO_NO_KERNEL=1`` simply mean :func:`get_kernel` returns
-``None`` and callers use the pure-numpy engine — results are
-byte-identical (see ``tests/test_ml_levelwise.py`` which pins the two
-paths against each other).  Why the kernel is missing is kept in
-:data:`last_error`.
+mode.  No compiler, no ``cffi`` or a failed build make
+:func:`get_kernel` return ``None``, with the reason in
+:data:`last_error`.  Fitting then fails (:func:`require_kernel` raises
+with that reason), while prediction falls back to the numpy descent of
+:class:`repro.ml.gbm._FlatEnsemble`, so a saved model still loads and
+serves on a host without a compiler.
 
 Floating-point discipline: compiled with ``-ffp-contract=off`` (no FMA
-contraction) so candidate scores are the same IEEE double operations the
-numpy engine and the scalar reference perform; cumulative sums run in the
-same stable feature order, so split decisions — including exact ties —
-agree with the reference scan.  ``forest_predict`` sums each row's leaf
-values with numpy's pairwise summation (8 accumulators, blocks of 128,
-halving above), so its per-ensemble sums equal
-``_FlatEnsemble.sum_values`` bit for bit.
+contraction) so candidate scores are exactly the IEEE double operations
+of the split rule; cumulative sums run sequentially in the stable
+feature order, so split decisions — including exact ties — agree with
+the scalar per-node reference in ``tests/gbm_reference.py`` byte for
+byte.  ``forest_predict`` sums each row's leaf values with numpy's
+pairwise summation (8 accumulators, blocks of 128, halving above), so
+its per-ensemble sums equal ``_FlatEnsemble.sum_values`` bit for bit.
 """
 
 from __future__ import annotations
@@ -53,8 +51,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-
-from repro.env import get_bool
 
 _CDEF = """
 long gbm_fit_exact(
@@ -78,14 +74,14 @@ long forest_pack(
 """
 
 _SOURCE = r"""
-/* Level-wise exact GBM fit (squared loss, unit hessian).  Produces what
- * repro.ml.tree._grow_exact produces: the frontier of each depth level is
- * a set of contiguous row segments over a per-feature presorted order;
- * the split search scans every (node, feature) of the level; accepted
- * splits partition segments by a stable position cut (never re-sorting);
- * nodes are laid out in preorder at emission, in the fused ensemble's
- * form (global child indices, leaves as self-loops).  Returns the
- * deepest tree's depth, or -1 when scratch allocation fails.
+/* Level-wise exact GBM fit (squared loss, unit hessian).  The frontier
+ * of each depth level is a set of contiguous row segments over a
+ * per-feature presorted order; the split search scans every (node,
+ * feature) of the level; accepted splits partition segments by a stable
+ * position cut (never re-sorting); nodes are laid out in preorder at
+ * emission, in the fused ensemble's form (global child indices, leaves
+ * as self-loops).  Returns the deepest tree's depth, or -1 when scratch
+ * allocation fails.
  *
  * Two kinds of work are skipped because their result is already fixed:
  *  - rank-duplicate columns: a column whose stable sort order and
@@ -567,8 +563,8 @@ _kernel = None
 _kernel_tried = False
 
 # Why the last load attempt gave no kernel (the compiler's stderr for a
-# failed build), or ``None``.  A missing kernel is silent by design —
-# callers fall back to numpy — so this is where to look when it is gone.
+# failed build), or ``None``.  Prediction falls back to numpy silently,
+# so this is where to look when the kernel is gone; a fit raises with it.
 last_error: str | None = None
 
 
@@ -613,10 +609,9 @@ def _build(tag: str) -> str:
 def get_kernel():
     """The (ffi, lib) pair, or ``None`` when unavailable.
 
-    Best-effort and cached: the first call may compile the C source; any
-    failure (no cffi, no compiler, sandboxed filesystem) permanently
-    falls back to ``None`` for this process, with the reason in
-    :data:`last_error`.
+    Cached: the first call may compile the C source; any failure (no
+    cffi, no compiler, sandboxed filesystem) gives ``None`` for the rest
+    of this process, with the reason in :data:`last_error`.
     """
     global _kernel, _kernel_tried, last_error
     if _kernel_tried:
@@ -625,24 +620,34 @@ def get_kernel():
         if not _kernel_tried:
             try:
                 _kernel, last_error = _load(), None
-            except Exception as exc:  # best-effort: fall back to numpy
+            except Exception as exc:  # kept for require_kernel's error
                 _kernel, last_error = None, f"{type(exc).__name__}: {exc}"
             _kernel_tried = True
     return _kernel
 
 
+def require_kernel():
+    """The (ffi, lib) pair; raises ``RuntimeError`` with
+    :data:`last_error` when the kernel is unavailable (fitting has no
+    other engine)."""
+    kernel = get_kernel()
+    if kernel is None:
+        raise RuntimeError(
+            "fitting a GBM needs the compiled kernel (a C compiler and "
+            f"cffi), which is unavailable: {last_error}"
+        )
+    return kernel
+
+
 def _load():
-    """Build and open the kernel: ``(ffi, lib)``, or ``None`` when it is
-    switched off.  Raises on every other failure."""
-    if get_bool("REPRO_NO_KERNEL"):
-        return None
+    """Build and open the kernel: ``(ffi, lib)``.  Raises on failure."""
     if not sys.platform.startswith(("linux", "darwin")):
         raise RuntimeError(f"no kernel build for platform {sys.platform}")
     import cffi
 
     ffi = cffi.FFI()
     # The ABI passes numpy int64 buffers as C ``long``; on an ILP32
-    # platform that would be a silent stride mismatch, so fall back.
+    # platform that would be a silent stride mismatch, so refuse it.
     if ffi.sizeof("long") != 8:
         raise RuntimeError("C long is not 64 bits")
     ffi.cdef(_CDEF)

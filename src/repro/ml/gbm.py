@@ -10,17 +10,18 @@ implements the regularized tree-boosting algorithm directly:
 * shrinkage (``learning_rate``), L2 leaf penalty (``reg_lambda``),
   ``min_child_weight``, ``gamma`` and depth limits,
 * base score initialised at the target mean,
-* exact greedy split search over every row and feature (the level-wise
-  engine of :mod:`repro.ml.tree`, or the compiled kernel of
-  :mod:`repro.ml._kernel`, which gives the same results with less work).
+* exact greedy split search over every row and feature, run by the
+  compiled kernel of :mod:`repro.ml._kernel` in one call per fit.
+  Fitting needs it (a C compiler and ``cffi``); loading and predicting
+  a saved model do not.
 
 A fitted model owns exactly one node-array set, :class:`_FlatEnsemble`:
 every tree's nodes concatenated in preorder, leaves encoded as
-self-loops.  The kernel emits it directly; the numpy engine appends one
-tree per boosting round.  Inference accumulates every tree in one
-lockstep vectorized descent (all rows x all trees advance one level per
-step — no per-row or per-tree Python), and a :class:`Forest` evaluates
-many fitted models' ensembles on one wide matrix in one compiled call.
+self-loops, as the kernel emits it.  Inference accumulates every tree
+in one lockstep vectorized descent (all rows x all trees advance one
+level per step — no per-row or per-tree Python), and a :class:`Forest`
+evaluates many fitted models' ensembles on one wide matrix in one
+compiled call.
 
 Like real tree ensembles, the model cannot predict outside the range of
 training targets — the very property the paper exploits when arguing that
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml._kernel import get_kernel
-from repro.ml.tree import TreeWorkspace, _grow_exact, _SplitSearchConfig
+from repro.ml._kernel import get_kernel, require_kernel
 
 __all__ = ["Forest", "GradientBoostingRegressor"]
 
@@ -317,78 +317,30 @@ class GradientBoostingRegressor:
             raise ValueError("X and y disagree on the number of samples")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
+        # The compiled kernel is the only fit engine: without it this
+        # raises, and the model keeps whatever it held before.
+        kernel = require_kernel()
         self._ensemble = None
         self.n_features_ = X.shape[1]
         self.base_score_ = float(y.mean())
-        ws = TreeWorkspace(X)
-        # The compiled kernel drives the whole boosting loop in one call;
-        # it is byte-identical to the numpy engine and optional.
-        kernel = get_kernel()
-        if kernel is not None:
-            self._ensemble = self._fit_kernel(kernel, ws, y)
-        else:
-            self._ensemble = self._fit_numpy(ws, y)
+        self._ensemble = self._fit_kernel(kernel, X, y)
         return self
 
-    def _fit_numpy(self, ws: TreeWorkspace, y: np.ndarray) -> _FlatEnsemble:
-        """The boosting loop over :func:`repro.ml.tree._grow_exact`.
-
-        Each round's tree arrives in node form with tree-local links; the
-        loop offsets them and concatenates every round once at the end.
-        """
-        n = y.size
-        pred = np.full(n, self.base_score_)
-        # The split-search config carries the per-fit frontier-shape and
-        # tree-structure caches every round shares.
-        cfg = _SplitSearchConfig(
-            max_depth=self.max_depth,
-            min_child_weight=self.min_child_weight,
-            reg_lambda=self.reg_lambda,
-            gamma=self.gamma,
-        )
-        grad = np.empty(n)
-        update = np.empty(n)
-        np.subtract(pred, y, out=grad)  # d/dpred of 0.5*(pred-y)^2
-        parts: list[tuple] = []
-        roots = []
-        offset = 0
-        depth = 0
-        for _ in range(self.n_estimators):
-            # The leaf partition already is the training prediction.
-            feature, threshold, left, right, value, nsamp, tree_depth = _grow_exact(
-                ws, grad, cfg, update
-            )
-            pred += self.learning_rate * update
-            parts.append((feature, threshold, left + offset, right + offset, value, nsamp))
-            roots.append(offset)
-            offset += value.size
-            depth = max(depth, tree_depth)
-            # The post-round residual doubles as the next round's gradient.
-            np.subtract(pred, y, out=grad)
-        feature, threshold, left, right, value, nsamp = (
-            np.concatenate(arrays) for arrays in zip(*parts)
-        )
-        return _FlatEnsemble(
-            feature,
-            threshold,
-            left.astype(np.int32, copy=False),
-            right.astype(np.int32, copy=False),
-            value,
-            nsamp,
-            np.array(roots, dtype=np.int32),
-            depth,
-        )
-
-    def _fit_kernel(self, kernel, ws: TreeWorkspace, y: np.ndarray) -> _FlatEnsemble:
+    def _fit_kernel(self, kernel, X: np.ndarray, y: np.ndarray) -> _FlatEnsemble:
         """One compiled call for the full boosting loop.
 
-        The kernel writes the ensemble's node arrays into buffers sized
-        for complete trees; the model keeps exact-size copies, so it does
-        not hold the unused tail.
+        The kernel reads ``X`` transposed (feature-major), every column's
+        stable sort order and its inverse (row -> sorted position), the
+        only sort the fit performs.  It writes the ensemble's node arrays
+        into buffers sized for complete trees; the model keeps exact-size
+        copies, so it does not hold the unused tail.
         """
         ffi, lib = kernel
-        f, n = ws.xt.shape
-        posof = ws.posof()
+        xt = np.ascontiguousarray(X.T)
+        f, n = xt.shape
+        order = xt.argsort(axis=1, kind="stable")
+        posof = np.empty_like(order)
+        posof[np.arange(f)[:, None], order] = np.arange(n)
         n_est = self.n_estimators
         max_nodes = min(2 ** (self.max_depth + 1) - 1, 2 * n - 1)
         cap = n_est * max_nodes
@@ -412,7 +364,7 @@ class GradientBoostingRegressor:
 
         yc = np.ascontiguousarray(y, dtype=float)
         depth = lib.gbm_fit_exact(
-            dp(ws.xt), lp(ws.order), lp(posof),
+            dp(xt), lp(order), lp(posof),
             n, f, dp(yc),
             n_est, self.learning_rate, self.max_depth,
             self.reg_lambda, self.min_child_weight, self.gamma,

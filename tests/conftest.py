@@ -14,6 +14,9 @@ from repro.arch.workloads import WORKLOADS
 from repro.core.autopower import AutoPower
 from repro.vlsi.flow import VlsiFlow
 
+# The shared GBM reference's helpers assert; report their operands.
+pytest.register_assert_rewrite("gbm_reference")
+
 
 @pytest.fixture(scope="session", autouse=True)
 def _hermetic_flow_cache(tmp_path_factory):

@@ -340,7 +340,6 @@ class TestEnvCommand:
         out = capsys.readouterr().out
         for name in (
             "REPRO_JOBS",
-            "REPRO_NO_KERNEL",
             "REPRO_NO_FLOW_CACHE",
             "REPRO_FLOW_CACHE_DIR",
             "REPRO_FLOW_CACHE_MAX_MB",

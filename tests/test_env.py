@@ -11,7 +11,6 @@ class TestRegistry:
     def test_every_knob_is_declared_with_doc(self):
         assert set(env.REGISTRY) == {
             "REPRO_JOBS",
-            "REPRO_NO_KERNEL",
             "REPRO_NO_FLOW_CACHE",
             "REPRO_FLOW_CACHE_DIR",
             "REPRO_FLOW_CACHE_MAX_MB",
@@ -39,13 +38,13 @@ class TestRegistry:
 class TestTypedAccessors:
     def test_bool_truthy_spellings(self, monkeypatch):
         for value in ("1", "true", "YES", "On"):
-            monkeypatch.setenv("REPRO_NO_KERNEL", value)
-            assert env.get_bool("REPRO_NO_KERNEL") is True
+            monkeypatch.setenv("REPRO_NO_FLOW_CACHE", value)
+            assert env.get_bool("REPRO_NO_FLOW_CACHE") is True
         for value in ("0", "false", "no", "off"):
-            monkeypatch.setenv("REPRO_NO_KERNEL", value)
-            assert env.get_bool("REPRO_NO_KERNEL") is False
-        monkeypatch.delenv("REPRO_NO_KERNEL")
-        assert env.get_bool("REPRO_NO_KERNEL") is False
+            monkeypatch.setenv("REPRO_NO_FLOW_CACHE", value)
+            assert env.get_bool("REPRO_NO_FLOW_CACHE") is False
+        monkeypatch.delenv("REPRO_NO_FLOW_CACHE")
+        assert env.get_bool("REPRO_NO_FLOW_CACHE") is False
 
     def test_float_with_default_and_malformed(self, monkeypatch):
         assert env.get_float("REPRO_FLOW_CACHE_MAX_MB") == 512.0
@@ -80,4 +79,4 @@ class TestTables:
     def test_plain_table_mentions_defaults(self):
         text = env.plain_table()
         assert "512.0" in text
-        assert "REPRO_NO_KERNEL" in text
+        assert "REPRO_NO_FLOW_CACHE" in text

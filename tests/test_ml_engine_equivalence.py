@@ -1,11 +1,13 @@
-"""Equivalence suite for the vectorized tree engine.
+"""Equivalence suite for the tree engine.
 
-A deliberately naive scalar implementation (per-candidate Python loops,
-per-row tree traversal) serves as the reference; the engine must
-reproduce it:
+The scalar per-node reference of ``tests/gbm_reference.py`` (plain
+Python, one node at a time) and a per-row tree walk serve as the
+reference; the compiled fit and the batched predictors must reproduce
+them:
 
-* identical tree *structure* (feature, threshold, leaf values) of a
-  one-round GBM and per-row predictions on randomized datasets,
+* the identical one-round GBM (feature, threshold, links, leaf values,
+  sample counts — byte for byte) and per-row predictions on randomized
+  datasets,
 * the fused ensemble — lossless round-trip through
   :mod:`repro.ml.serialize`, including the legacy nested format,
 * the batched prediction path — bitwise-equal to scalar prediction.
@@ -21,121 +23,20 @@ from repro.core.autopower import events_at_scale
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.serialize import gbm_from_dict, gbm_to_dict
 
-GAIN_EPS = 1e-12
-
-
-# -- scalar reference -------------------------------------------------------
-def _reference_split(X, grad, hess, idx, reg_lambda, gamma, min_child_weight):
-    """Per-candidate scalar split search (feature-major scan, max score)."""
-    gsum = float(grad[idx].sum())
-    hsum = float(hess[idx].sum())
-    parent = gsum * gsum / (hsum + reg_lambda)
-    best_score = -np.inf
-    best = None
-    for feature in range(X.shape[1]):
-        values = X[idx, feature]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sg = grad[idx][order]
-        sh = hess[idx][order]
-        gl = np.cumsum(sg)
-        hl = np.cumsum(sh)
-        for i in range(idx.size - 1):
-            if sv[i + 1] == sv[i]:
-                continue
-            hl_i = float(hl[i])
-            hr_i = hsum - hl_i
-            if hl_i < min_child_weight or hr_i < min_child_weight:
-                continue
-            gl_i = float(gl[i])
-            gr_i = gsum - gl_i
-            score = gl_i * gl_i / (hl_i + reg_lambda) + gr_i * gr_i / (
-                hr_i + reg_lambda
-            )
-            if score > best_score:
-                best_score = score
-                best = (feature, i, order)
-    if best is None:
-        return None
-    gain = 0.5 * (best_score - parent) - gamma
-    if not gain > GAIN_EPS:
-        return None
-    feature, pos, order = best
-    sv = X[idx, feature][order]
-    threshold = 0.5 * (sv[pos] + sv[pos + 1])
-    return feature, float(threshold), idx[order[: pos + 1]], idx[order[pos + 1 :]]
-
-
-def _reference_build(X, grad, hess, idx, depth, params):
-    """Reference tree as nested dicts."""
-    gsum = float(grad[idx].sum())
-    hsum = float(hess[idx].sum())
-    node = {
-        "value": -gsum / (hsum + params["reg_lambda"]),
-        "n_samples": int(idx.size),
-    }
-    if depth < params["max_depth"] and idx.size >= params["min_samples_split"]:
-        best = _reference_split(
-            X,
-            grad,
-            hess,
-            idx,
-            params["reg_lambda"],
-            params["gamma"],
-            params["min_child_weight"],
-        )
-        if best is not None:
-            feature, threshold, left_idx, right_idx = best
-            node["feature"] = feature
-            node["threshold"] = threshold
-            node["left"] = _reference_build(X, grad, hess, left_idx, depth + 1, params)
-            node["right"] = _reference_build(
-                X, grad, hess, right_idx, depth + 1, params
-            )
-    return node
+from gbm_reference import assert_same_fit, fit_both
 
 
 def _one_round(X, y, **kw):
-    """A GBM whose prediction is the target mean plus one tree."""
-    model = GradientBoostingRegressor(n_estimators=1, learning_rate=1.0, **kw)
-    return model.fit(X, y)
+    """A GBM whose prediction is the target mean plus one tree, fitted
+    by the kernel and by the reference."""
+    return fit_both(X, y, n_estimators=1, learning_rate=1.0, **kw)
 
 
-def _reference_tree(X, y, **kw):
-    """The reference tree of a GBM's first round (residuals of the mean)."""
-    params = {
-        "max_depth": kw.get("max_depth", 3),
-        "min_samples_split": 2,
-        "min_child_weight": kw.get("min_child_weight", 1.0),
-        "reg_lambda": kw.get("reg_lambda", 1.0),
-        "gamma": kw.get("gamma", 0.0),
-    }
-    y = np.asarray(y, dtype=float)
-    grad = float(y.mean()) - y
-    hess = np.ones_like(grad)
-    return _reference_build(
-        np.asarray(X, dtype=float), grad, hess, np.arange(len(y)), 0, params
-    )
-
-
-def _reference_predict_row(node, row):
-    while "feature" in node:
-        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
-    return node["value"]
-
-
-def _assert_same_structure(ref: dict, ens, i=0, rtol=1e-12):
-    """Compare the reference tree with the ensemble's tree rooted at ``i``."""
-    assert ens.value[i] == pytest.approx(ref["value"], rel=rtol, abs=1e-12)
-    assert ens.n_samples[i] == ref["n_samples"]
-    if "feature" in ref:
-        assert ens.left[i] != i, "engine made a leaf where reference split"
-        assert ens.feature[i] == ref["feature"]
-        assert ens.threshold[i] == pytest.approx(ref["threshold"], rel=rtol)
-        _assert_same_structure(ref["left"], ens, ens.left[i], rtol)
-        _assert_same_structure(ref["right"], ens, ens.right[i], rtol)
-    else:
-        assert ens.left[i] == i, "engine split where reference made a leaf"
+def _walk(ens, row, i=0):
+    """The leaf value ``row`` reaches from node ``i``, one step at a time."""
+    while ens.left[i] != i:
+        i = ens.left[i] if row[ens.feature[i]] <= ens.threshold[i] else ens.right[i]
+    return ens.value[i]
 
 
 def _datasets():
@@ -163,23 +64,16 @@ class TestExactEquivalence:
     def test_structure_matches_reference(self, case):
         X, y = _datasets()[case]
         kw = dict(max_depth=4, reg_lambda=0.7, min_child_weight=2.0, gamma=0.01)
-        model = _one_round(X, y, **kw)
-        ref = _reference_tree(X, y, **kw)
-        _assert_same_structure(ref, model._flat_ensemble())
+        assert_same_fit(*_one_round(X, y, **kw), X)
 
     @pytest.mark.parametrize("case", range(8))
     def test_predictions_match_reference(self, case):
         X, y = _datasets()[case]
-        model = _one_round(X, y, max_depth=5, reg_lambda=0.3)
-        ref = _reference_tree(X, y, max_depth=5, reg_lambda=0.3)
-        got = model.predict(X)
-        want = model.base_score_ + np.array(
-            [_reference_predict_row(ref, row) for row in X]
-        )
-        # Leaf G/H sums are read off cumulative arrays instead of being
-        # re-reduced per node, so values agree to float associativity —
-        # well inside the documented 1e-9 bound.
-        assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+        model, ref = _one_round(X, y, max_depth=5, reg_lambda=0.3)
+        ens = ref._flat_ensemble()
+        want = ref.base_score_ + np.array([_walk(ens, row) for row in X])
+        # One tree at learning rate 1: the batched sum is the leaf value.
+        assert model.predict(X).tobytes() == want.tobytes()
 
     def test_min_child_weight_zero_matches_reference(self):
         # Regression: mcw=0 must not push the candidate bound past n-1.
@@ -187,9 +81,7 @@ class TestExactEquivalence:
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         kw = dict(max_depth=3, min_child_weight=0.0, reg_lambda=0.5)
-        model = _one_round(X, y, **kw)
-        ref = _reference_tree(X, y, **kw)
-        _assert_same_structure(ref, model._flat_ensemble())
+        assert_same_fit(*_one_round(X, y, **kw), X)
 
     def test_gbm_fused_predict_matches_per_row_traversal(self):
         rng = np.random.default_rng(3)

@@ -1,26 +1,23 @@
-"""Level-wise engine suite: scalar-reference properties, kernel parity.
+"""Level-wise fit suite: the compiled kernel against a scalar reference.
 
-Complements ``tests/test_ml_engine_equivalence.py`` with the cases the
-level-wise rewrite is most likely to get wrong:
+``tests/gbm_reference.py`` fits the same split rule one node at a time in
+plain Python; every fit here must match it byte for byte (serialized
+model and predictions):
 
 * randomized *small-n* datasets (n in 2..12 — the few-shot regime), value
-  ties and constant features, pitted against a deliberately naive
-  per-node scalar reference,
-* the compiled kernel against the pure-numpy engine (byte-identical
-  serialized models and ensembles, identical predictions), including
-  matrices whose columns rank the rows alike — the columns the kernel
+  ties and constant features,
+* matrices whose columns rank the rows alike — the columns the kernel
   skips — and a property test over the inputs its pruned split scan is
   most likely to get wrong (ties, exactly tied scores in different
   columns, subnormal and overflowing scores, ``reg_lambda = 0``),
-* serialization round-trips of level-wise-fitted models through the
-  legacy nested format,
-* the no-per-node-argsort invariant via ``SORT_COUNTERS``.
+* the kernel's load path (racing first loads, a failed build) and the
+  missing-kernel error of every fit,
+* serialization round-trips of fitted models through the legacy nested
+  format.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
 import warnings
 
 import numpy as np
@@ -28,104 +25,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ml._kernel as kernel_mod
+from repro import api
 from repro.ml._kernel import get_kernel
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.serialize import gbm_from_dict, gbm_to_dict
-from repro.ml.tree import SORT_COUNTERS
 
-GAIN_EPS = 1e-12
-
-
-# -- naive scalar reference (per-node loops, explicit hessians) -------------
-#
-# Tie discipline: the engine orders tied values by original row index (the
-# stable root presort, preserved by partitioning) and chains child G/H sums
-# off the winning candidate's cumulative values.  The reference does the
-# same — with `idx` kept sorted, a stable value sort is exactly
-# (value, original index) order — so mathematically tied candidates score
-# bitwise equal in both implementations and resolve to the same split.
-def _reference_split(X, grad, hess, idx, gsum, hsum, lam, gamma, mcw):
-    parent = gsum * gsum / (hsum + lam)
-    best_score = -np.inf
-    best = None
-    for feature in range(X.shape[1]):
-        values = X[idx, feature]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        gl = np.cumsum(grad[idx][order])
-        hl = np.cumsum(hess[idx][order])
-        for i in range(idx.size - 1):
-            if sv[i + 1] == sv[i]:
-                continue
-            hl_i = float(hl[i])
-            hr_i = hsum - hl_i
-            if hl_i < mcw or hr_i < mcw:
-                continue
-            gl_i = float(gl[i])
-            gr_i = gsum - gl_i
-            score = gl_i * gl_i / (hl_i + lam) + gr_i * gr_i / (hr_i + lam)
-            if score > best_score:
-                best_score = score
-                best = (feature, i, order, float(gl[i]), float(hl[i]))
-    if best is None:
-        return None
-    gain = 0.5 * (best_score - parent) - gamma
-    if not gain > GAIN_EPS:
-        return None
-    feature, pos, order, gl_win, hl_win = best
-    sv = X[idx, feature][order]
-    threshold = 0.5 * (sv[pos] + sv[pos + 1])
-    left = np.sort(idx[order[: pos + 1]])
-    right = np.sort(idx[order[pos + 1 :]])
-    return feature, float(threshold), left, right, gl_win, hl_win
-
-
-def _reference_build(X, grad, hess, idx, depth, p, gsum=None, hsum=None):
-    if gsum is None:  # root: sequential sums, like the engine
-        gsum = float(np.cumsum(grad[idx])[-1])
-        hsum = float(np.cumsum(hess[idx])[-1])
-    node = {"value": -gsum / (hsum + p["lam"]), "n": int(idx.size)}
-    if depth < p["max_depth"] and idx.size >= p["mss"]:
-        best = _reference_split(
-            X, grad, hess, idx, gsum, hsum, p["lam"], p["gamma"], p["mcw"]
-        )
-        if best is not None:
-            feature, threshold, li, ri, gl, hl = best
-            node["feature"] = feature
-            node["threshold"] = threshold
-            node["left"] = _reference_build(X, grad, hess, li, depth + 1, p, gl, hl)
-            node["right"] = _reference_build(
-                X, grad, hess, ri, depth + 1, p, gsum - gl, hsum - hl
-            )
-    return node
-
-
-def _assert_structure(ref, ens, i=0):
-    """Compare the reference tree with the ensemble's tree rooted at ``i``."""
-    assert ens.value[i] == pytest.approx(ref["value"], rel=1e-12, abs=1e-12)
-    assert ens.n_samples[i] == ref["n"]
-    if "feature" in ref:
-        assert ens.left[i] != i, "engine made a leaf where reference split"
-        assert ens.feature[i] == ref["feature"]
-        assert ens.threshold[i] == pytest.approx(ref["threshold"], rel=1e-12)
-        _assert_structure(ref["left"], ens, ens.left[i])
-        _assert_structure(ref["right"], ens, ens.right[i])
-    else:
-        assert ens.left[i] == i, "engine split where reference made a leaf"
+from gbm_reference import assert_same_fit, fit_both
 
 
 def _check_one_round(X, y, max_depth, mcw, lam, gamma=0.0):
-    """A one-round GBM's tree against the reference on the same gradients."""
+    """A one-round GBM against the reference on the same gradients."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    model = GradientBoostingRegressor(
-        n_estimators=1, max_depth=max_depth, min_child_weight=mcw,
+    got, want = fit_both(
+        X, y, n_estimators=1, max_depth=max_depth, min_child_weight=mcw,
         reg_lambda=lam, gamma=gamma,
-    ).fit(X, y)
-    grad = model.base_score_ - y  # the first round's squared-loss gradient
-    p = {"max_depth": max_depth, "mss": 2, "mcw": mcw, "lam": lam, "gamma": gamma}
-    ref = _reference_build(X, grad, np.ones_like(grad), np.arange(len(y)), 0, p)
-    _assert_structure(ref, model._flat_ensemble())
+    )
+    assert_same_fit(got, want, X)
 
 
 def _small_cases():
@@ -162,19 +79,6 @@ class TestSmallNReference:
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
         _check_one_round(X, y, max_depth=4, mcw=2.5, lam=0.2)
-
-
-@contextlib.contextmanager
-def _without_kernel():
-    """Fits inside use the numpy engine."""
-    import repro.ml._kernel as kernel_mod
-
-    saved, saved_tried = kernel_mod._kernel, kernel_mod._kernel_tried
-    kernel_mod._kernel, kernel_mod._kernel_tried = None, True
-    try:
-        yield
-    finally:
-        kernel_mod._kernel, kernel_mod._kernel_tried = saved, saved_tried
 
 
 @st.composite
@@ -227,11 +131,7 @@ def _parity_cases(draw):
 
 
 class TestKernelParity:
-    """Compiled kernel vs pure-numpy engine (skipped when not compiled)."""
-
-    pytestmark = pytest.mark.skipif(
-        get_kernel() is None, reason="compiled kernel unavailable"
-    )
+    """Compiled kernel vs the scalar reference, and the kernel's loading."""
 
     def _pair(self, **kw):
         rng = np.random.default_rng(kw.pop("seed", 0))
@@ -239,18 +139,13 @@ class TestKernelParity:
         f = kw.pop("f", 8)
         X = rng.uniform(0.0, 4.0, size=(n, f))
         y = 5.0 * X[:, 0] - X[:, 1] + rng.normal(scale=0.3, size=n)
-        with_kernel = GradientBoostingRegressor(**kw).fit(X, y)
-        with _without_kernel():
-            without = GradientBoostingRegressor(**kw).fit(X, y)
-        return with_kernel, without, X
+        return (*fit_both(X, y, **kw), X)
 
     def test_threads_racing_on_first_load_all_get_the_kernel(self):
         # Fits run on threads: a caller arriving while another loads the
-        # kernel must wait for it, not fall back to the numpy engine.
+        # kernel must wait for it, not see it missing.
         import sys
         import threading
-
-        import repro.ml._kernel as kernel_mod
 
         saved, saved_tried = kernel_mod._kernel, kernel_mod._kernel_tried
         interval = sys.getswitchinterval()
@@ -277,8 +172,6 @@ class TestKernelParity:
         assert all(k is got[0] and k is not None for k in got)
 
     def test_failed_build_keeps_the_compiler_error(self, monkeypatch, tmp_path):
-        import repro.ml._kernel as kernel_mod
-
         broken = kernel_mod._SOURCE + "\n#error kernel broken on purpose\n"
         monkeypatch.setattr(kernel_mod, "_SOURCE", broken)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -293,14 +186,13 @@ class TestKernelParity:
         a, b, X = self._pair(
             seed=seed, n_estimators=60, learning_rate=0.1, max_depth=3
         )
-        assert json.dumps(gbm_to_dict(a)) == json.dumps(gbm_to_dict(b))
-        assert np.array_equal(a.predict(X), b.predict(X))
+        assert_same_fit(a, b, X)
 
     def test_deep_trees_and_mcw(self):
         a, b, X = self._pair(
             n=40, n_estimators=30, max_depth=6, min_child_weight=3.0, gamma=0.01
         )
-        assert np.array_equal(a.predict(X), b.predict(X))
+        assert_same_fit(a, b, X)
         _assert_same_ensemble(a._flat_ensemble(), b._flat_ensemble())
 
     @staticmethod
@@ -334,23 +226,16 @@ class TestKernelParity:
     def test_rank_duplicate_columns_byte_identical(self, n, max_depth):
         X, y = self._rank_twins(n, seed=n + max_depth)
         kw = {"n_estimators": 30, "learning_rate": 0.3, "max_depth": max_depth}
-        with_kernel = GradientBoostingRegressor(**kw).fit(X, y)
-        with _without_kernel():
-            without = GradientBoostingRegressor(**kw).fit(X, y)
-        assert json.dumps(gbm_to_dict(with_kernel)) == json.dumps(gbm_to_dict(without))
+        assert_same_fit(*fit_both(X, y, **kw), X)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=_parity_cases())
     def test_pruned_scan_byte_identical(self, case):
         X, y, params = case
         # Huge targets overflow scores to inf (and inf - inf gains to NaN)
-        # in both engines; that is the case under test, not an error.
-        with np.errstate(over="ignore", invalid="ignore"):
-            with_kernel = GradientBoostingRegressor(**params).fit(X, y)
-            with _without_kernel():
-                without = GradientBoostingRegressor(**params).fit(X, y)
-        assert json.dumps(gbm_to_dict(with_kernel)) == json.dumps(gbm_to_dict(without))
-        assert with_kernel.predict(X).tobytes() == without.predict(X).tobytes()
+        # in the kernel and the reference alike; that is the case under
+        # test, not an error.
+        assert_same_fit(*fit_both(X, y, **params), X)
 
     @staticmethod
     def _root_candidates(X, y, lam):
@@ -386,10 +271,7 @@ class TestKernelParity:
             "n_estimators": 1, "learning_rate": 1.0, "max_depth": 2,
             "reg_lambda": 0.25, "min_child_weight": 0.0,
         }
-        with_kernel = GradientBoostingRegressor(**kw).fit(X, y)
-        with _without_kernel():
-            without = GradientBoostingRegressor(**kw).fit(X, y)
-        assert json.dumps(gbm_to_dict(with_kernel)) == json.dumps(gbm_to_dict(without))
+        assert_same_fit(*fit_both(X, y, **kw), X)
 
     def test_kernel_ensemble_matches_lazy_assembly(self):
         # The ensemble the loader assembles from saved node lists is the
@@ -400,9 +282,10 @@ class TestKernelParity:
 
 
 class TestNumpyEngineWarnings:
-    """The numpy engine is as silent as the kernel: scores that overflow
-    to infinity (and their NaN gains) are part of the split contract,
-    not a floating-point error to report."""
+    """A fit is silent on extreme targets, and so is the numpy descent
+    that predicts from its model: scores that overflow to infinity (and
+    their NaN gains) are part of the split contract, not a
+    floating-point error to report."""
 
     @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
     @pytest.mark.parametrize("scale", [1e160, 1e-310])
@@ -417,14 +300,34 @@ class TestNumpyEngineWarnings:
         }
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with _without_kernel():
-                without = GradientBoostingRegressor(**kw).fit(X, y)
-                predicted = without.predict(X)
-            if get_kernel() is not None:
-                with_kernel = GradientBoostingRegressor(**kw).fit(X, y)
-                assert with_kernel.predict(X).tobytes() == predicted.tobytes()
-        if get_kernel() is not None:
-            assert json.dumps(gbm_to_dict(with_kernel)) == json.dumps(gbm_to_dict(without))
+            model, want = fit_both(X, y, **kw)
+            model.predict(X)
+        assert_same_fit(model, want, X)
+
+
+class TestFitNeedsTheKernel:
+    """The kernel is the only fit engine: without it a fit raises with
+    the reason the kernel is missing (saved models still load and
+    predict, see ``tests/test_persistence.py``)."""
+
+    SENTINEL = "cc: no such compiler (sentinel 7f3a)"
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        monkeypatch.setattr(kernel_mod, "_kernel", None)
+        monkeypatch.setattr(kernel_mod, "_kernel_tried", True)
+        monkeypatch.setattr(kernel_mod, "last_error", self.SENTINEL)
+
+    def test_gbm_fit_raises_with_the_load_error(self, no_kernel):
+        model = GradientBoostingRegressor(n_estimators=3)
+        with pytest.raises(RuntimeError, match="sentinel 7f3a"):
+            model.fit(np.arange(8.0).reshape(4, 2), np.arange(4.0))
+        with pytest.raises(RuntimeError, match="used before fit"):
+            model.predict([[0.0, 1.0]])
+
+    def test_api_fit_raises_with_the_load_error(self, no_kernel, flow):
+        with pytest.raises(RuntimeError, match="sentinel 7f3a"):
+            api.fit("autopower", flow, ["C1", "C15"], ["dhrystone", "qsort"])
 
 
 def _assert_same_ensemble(a, b):
@@ -475,32 +378,3 @@ class TestSerializationCompat:
         model = GradientBoostingRegressor(n_estimators=25, max_depth=3).fit(X, y)
         clone = gbm_from_dict(gbm_to_dict(model))
         assert np.array_equal(model.predict(X), clone.predict(X))
-
-
-class TestNoPerNodeSorts:
-    def test_numpy_exact_fit_sorts_once_per_workspace(self):
-        # The level-wise exact engine presorts each feature exactly once
-        # per fit (the workspace build); below the root every partition is
-        # a stable position-cut split.  ``node_argsorts`` has no increment
-        # site at all — pinned here so a regression must touch the counter.
-        rng = np.random.default_rng(0)
-        X = rng.uniform(size=(12, 10))
-        y = rng.normal(size=12)
-        with _without_kernel():
-            before = dict(SORT_COUNTERS)
-            GradientBoostingRegressor(n_estimators=50, max_depth=3).fit(X, y)
-            after = dict(SORT_COUNTERS)
-        assert after["workspace_builds"] - before["workspace_builds"] == 1
-        assert after["node_argsorts"] - before["node_argsorts"] == 0
-
-    def test_kernel_fit_sorts_once_per_workspace(self):
-        if get_kernel() is None:
-            pytest.skip("compiled kernel unavailable")
-        rng = np.random.default_rng(1)
-        X = rng.uniform(size=(12, 10))
-        y = rng.normal(size=12)
-        before = dict(SORT_COUNTERS)
-        GradientBoostingRegressor(n_estimators=50, max_depth=3).fit(X, y)
-        after = dict(SORT_COUNTERS)
-        assert after["workspace_builds"] - before["workspace_builds"] == 1
-        assert after["node_argsorts"] - before["node_argsorts"] == 0

@@ -1,4 +1,4 @@
-"""Unit tests for repro.ml.tree: the split rules of one boosting round.
+"""Unit tests for the split rules of one boosting round (repro.ml.gbm).
 
 Each test fits a one-round GBM with ``learning_rate=1``, so the model is
 the target mean plus exactly one tree grown on the residuals, and reads
